@@ -47,7 +47,7 @@ from pathlib import Path
 
 from repro.core.attack import find_shared_primes
 from repro.core.batch_gcd import batch_gcd
-from repro.core.incremental import SNAPSHOT_VERSION, IncrementalScanner
+from repro.core.incremental import IncrementalScanner
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.rsa.corpus import generate_weak_corpus
 from repro.util.intops import available_backends, backend_info, resolve_backend
@@ -56,7 +56,7 @@ SCHEMA = "repro.bench_e2e/2"
 MODES = ("pairwise", "batch", "batchscan")
 
 #: incremental-flush sweep: engines raced on identical seeded registries
-INCR_ENGINES = ("native", "ptree", "all2all")
+INCR_ENGINES = ("native", "ptree")
 QUICK_INCR_REGISTRY = (192,)
 QUICK_INCR_FLUSH = (24,)
 FULL_INCR_REGISTRY = (1_000, 10_000)
@@ -217,16 +217,11 @@ def _incremental_corpus(
 
 
 def _seeded_scanner(seed_moduli: list[int], bits: int, engine: str) -> IncrementalScanner:
-    """A scanner that believes it already covered the seed registry —
-    exactly the service's restore path, so only the flush is timed."""
-    m = len(seed_moduli)
-    return IncrementalScanner.restore({
-        "version": SNAPSHOT_VERSION, "bits": bits, "engine": engine,
-        "int_backend": None, "algorithm": "approx", "d": 32,
-        "chunk_pairs": 4096, "early_terminate": True,
-        "moduli": seed_moduli, "hits": [],
-        "total_pairs_tested": m * (m - 1) // 2, "batches": 1,
-    })
+    """A scanner holding the seed registry without scanning it (the
+    ``ptree`` tier builds its tree here), so only the flush is timed."""
+    scanner = IncrementalScanner(bits=bits, engine=engine)
+    scanner.adopt(seed_moduli)
+    return scanner
 
 
 def run_incremental_case(
@@ -303,7 +298,7 @@ def _incremental_speedups(runs: list[IncrementalResult]) -> list[dict]:
 
 def _measured_crossover(speedups: list[dict]) -> int | None:
     """Smallest cross-pair count at which ``ptree`` beat ``native`` — the
-    value ``AUTO_MIN_CROSS_PAIRS`` / ``REPRO_INCR_AUTO_MIN_PAIRS`` encode."""
+    value ``AUTO_MIN_CROSS_PAIRS`` encodes."""
     winning = [
         s["cross_pairs"]
         for s in speedups

@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from repro.core.attack import find_shared_primes
-from repro.core.incremental import IncrementalScanner
+from repro.core.incremental import ENGINES, IncrementalScanner
 from repro.core.parallel import find_shared_primes_parallel
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.mp.memlog import CountingMemLog
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc.add_argument(
         "--stream-engine",
-        choices=("auto", "native", "bulk", "ptree", "all2all"),
+        choices=tuple(ENGINES),
         default="auto",
         help="engine tier for --stream batches (see 'serve --scan-engine')",
     )
@@ -269,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--scan-engine",
-        choices=("auto", "native", "bulk", "ptree", "all2all"),
+        choices=tuple(ENGINES),
         default="auto",
         help="scan engine tier: 'auto' (serving default; per-batch pick of "
         "'native' vs 'ptree' from the measured crossover), 'native' "
         "(one int-backend GCD per pair), 'bulk' (the paper's SIMT "
-        "simulation), 'ptree' (persistent product tree, one remainder "
-        "descent per flush), or 'all2all' (Pelofske-style running product)",
+        "simulation), or 'ptree' (persistent product tree, one remainder "
+        "descent per flush)",
     )
     sv.add_argument(
         "--max-batch", type=int, default=256,

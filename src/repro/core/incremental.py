@@ -7,8 +7,10 @@ cross pairs plus ``k(k−1)/2`` internal ones.  :class:`IncrementalScanner`
 maintains the corpus and covers exactly those new pairs, reporting hits in
 *global* key indices.
 
-Four engine tiers cover the new pairs (hit sets are identical across all
-of them — property-tested in ``tests/core/test_incremental_stateful.py``):
+Three engine tiers cover the new pairs, and ``auto`` picks between two of
+them (hit sets are identical across all of them — property-tested in
+``tests/core/test_incremental_stateful.py``).  :data:`ENGINES` is the one
+table every engine choice is made from:
 
 ``bulk``
     the paper's SIMT simulation, one word-level GCD per pair — the
@@ -23,22 +25,15 @@ of them — property-tested in ``tests/core/test_incremental_stateful.py``):
     never in the tree), plus a direct ``k(k−1)/2`` internal pass.
     Amortizes the flush to roughly O(m·log k) big-integer work instead of
     ``k·m`` independent GCDs;
-``all2all``
-    the low-entropy all-to-all approach of Pelofske 2024 (arXiv
-    2405.03166): a single running product ``P = Π old`` is kept, each new
-    key is flagged by ``gcd(n_k, P mod n_k)``, and only flagged keys —
-    rare when weak keys are rare — pay a partner-attribution pass over
-    the old corpus (cheap: the flag value is modulus-sized, so candidate
-    filtering uses small GCDs).
-
-``auto`` picks ``native`` or ``ptree`` per batch from the measured
-crossover in ``BENCH_e2e.json`` (see :data:`AUTO_MIN_CROSS_PAIRS`), while
-always keeping the tree maintained so either choice stays available.
+``auto``
+    picks ``native`` or ``ptree`` per batch from the measured crossover
+    in ``BENCH_e2e.json`` (see :data:`AUTO_MIN_CROSS_PAIRS`), while always
+    keeping the tree maintained so either choice stays available.
 """
 
 from __future__ import annotations
 
-import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,18 +44,21 @@ from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
 __all__ = [
-    "BatchReport",
-    "IncrementalScanner",
-    "SNAPSHOT_VERSION",
     "AUTO_MIN_CROSS_PAIRS",
+    "BatchReport",
+    "ENGINES",
+    "EngineTier",
+    "IncrementalScanner",
+    "SCAN_CONFIG_FIELDS",
+    "SNAPSHOT_VERSION",
 ]
 
 #: bump when the :meth:`IncrementalScanner.snapshot` payload changes shape
 SNAPSHOT_VERSION = 2
 
-_ENGINES = ("bulk", "native", "ptree", "all2all", "auto")
-#: engines that route per-pair work through the big-integer backend
-_BACKEND_ENGINES = ("native", "ptree", "all2all", "auto")
+#: the scan-configuration fields a snapshot records and
+#: :meth:`IncrementalScanner.restore` may override
+SCAN_CONFIG_FIELDS = ("algorithm", "d", "chunk_pairs", "early_terminate", "engine")
 
 #: ``auto`` switches from pairwise ``native`` to the ``ptree`` descent when
 #: a batch creates at least this many cross pairs (``k·m_old``).  The value
@@ -68,12 +66,8 @@ _BACKEND_ENGINES = ("native", "ptree", "all2all", "auto")
 #: --incremental`` (see BENCH_e2e.json and docs/PERFORMANCE.md): below it
 #: — essentially only single-key flushes against small corpora — the
 #: descent's fixed costs (batch product, per-leaf flag GCDs) exceed the
-#: pairwise GCDs it saves.  Override with ``REPRO_INCR_AUTO_MIN_PAIRS``.
+#: pairwise GCDs it saves.
 AUTO_MIN_CROSS_PAIRS = 256
-
-
-def _auto_threshold() -> int:
-    return int(os.environ.get("REPRO_INCR_AUTO_MIN_PAIRS", AUTO_MIN_CROSS_PAIRS))
 
 
 @dataclass
@@ -155,7 +149,7 @@ class IncrementalScanner:
         persists across batches — the scanner is long-lived, so its
         counters tell the stream's whole story.
 
-        ``engine`` picks the coverage tier (see the module docstring);
+        ``engine`` picks the coverage tier (a key of :data:`ENGINES`);
         ``int_backend`` selects the big-integer implementation for every
         tier except ``bulk``.  ``spool_dir`` checkpoints the ``ptree``
         tier's product tree on disk (RGSPOOL1 blobs + pinned manifest),
@@ -165,19 +159,18 @@ class IncrementalScanner:
             raise ValueError(f"bits must be an even size >= 16, got {bits}")
         if chunk_pairs < 1:
             raise ValueError("chunk_pairs must be >= 1")
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}")
         self.bits = bits
         self.stop_bits = bits // 2 if early_terminate else None
         self.chunk_pairs = chunk_pairs
         self.algorithm = algorithm
         self.d = d
         self.engine_name = engine
+        self.tier = ENGINES[engine]
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         self.engine = BulkGcdEngine(d=d, algorithm=algorithm) if engine == "bulk" else None
-        self.backend = (
-            resolve_backend(int_backend) if engine in _BACKEND_ENGINES else None
-        )
+        self.backend = resolve_backend(int_backend) if self.tier.int_backend else None
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
         self.moduli: list[int] = []
         self.all_hits: list[WeakHit] = []
@@ -185,96 +178,86 @@ class IncrementalScanner:
         self._batches = 0
         #: ptree tier state, built lazily (restore swaps the corpus in first)
         self._ptree: PersistentProductTree | None = None
-        #: all2all tier state: backend-native ``Π moduli`` (None = unbuilt)
-        self._product = None
-
-    # -- engine state ----------------------------------------------------------
-
-    def _uses_ptree(self) -> bool:
-        return self.engine_name in ("ptree", "auto")
 
     def _ensure_engine_state(self) -> None:
-        """Build the lazy per-engine structures for the current corpus."""
-        if self._uses_ptree() and self._ptree is None:
+        """Build the lazy product tree for the current corpus."""
+        if self.tier.ptree and self._ptree is None:
             tree = PersistentProductTree(
                 backend=self.backend, spool_dir=self.spool_dir,
                 telemetry=self.telemetry,
             )
             tree.load_or_rebuild(self.moduli)
             self._ptree = tree
-        if self.engine_name == "all2all" and self._product is None:
-            B = self.backend
-            self._product = (
-                B.prod([B.from_int(n) for n in self.moduli])
-                if self.moduli
-                else B.from_int(1)
-            )
 
-    def _pick_engine(self, base: int, new: int) -> str:
-        """Resolve ``auto`` for one batch: pairwise below the measured
-        crossover in cross pairs, tree descent above it."""
-        if self.engine_name != "auto":
-            return self.engine_name
-        return "ptree" if base * new >= _auto_threshold() else "native"
-
-    # -- scanning --------------------------------------------------------------
-
-    def add_batch(self, new_moduli: list[int]) -> BatchReport:
-        """Ingest a batch, covering only the pairs it creates."""
-        for n in new_moduli:
+    def _check(self, moduli: list[int]) -> None:
+        for n in moduli:
             if n <= 1 or n % 2 == 0:
                 raise ValueError("RSA moduli must be odd and > 1")
             if n.bit_length() != self.bits:
                 raise ValueError(
                     f"modulus of {n.bit_length()} bits in a {self.bits}-bit scanner"
                 )
+
+    def _extend(self, new_moduli: list[int]) -> None:
+        """Grow the corpus and the engine state that tracks it."""
+        if self.tier.ptree:
+            # auto maintains the tree even on pairwise batches, so the
+            # next flush can still choose the descent
+            self._ptree.append(new_moduli)
+        self.moduli.extend(new_moduli)
+
+    # -- scanning --------------------------------------------------------------
+
+    def _cover(
+        self, new_moduli: list[int], *, include_internal: bool, adopt: bool
+    ) -> BatchReport:
+        """The path :meth:`add_batch` (``adopt=True``) and :meth:`cross_scan`
+        share: validate, resolve the engine, cover the batch's new pairs —
+        and, when adopting, grow the corpus — inside one timed span."""
+        self._check(new_moduli)
         tel = self.telemetry
         self._ensure_engine_state()
         base = len(self.moduli)
         k = len(new_moduli)
-        engine = self._pick_engine(base, k)
+        engine = self.tier.pick(base, k) if self.tier.pick else self.engine_name
         report = BatchReport(
-            batch_index=self._batches,
-            new_keys=k,
-            total_keys=base + k,
-            engine=engine,
+            batch_index=-1, new_keys=k, total_keys=base + k, engine=engine
         )
-        self._batches += 1
-        tel.emit("batch.start", batch=report.batch_index, engine=engine,
-                 new_keys=report.new_keys, total_keys=report.total_keys)
-
-        pairs = base * k + k * (k - 1) // 2
+        if adopt:
+            report.batch_index = self._batches
+            self._batches += 1
+            tel.emit("batch.start", batch=report.batch_index, engine=engine,
+                     new_keys=report.new_keys, total_keys=report.total_keys)
         clock = tel.timer.clock
         started = clock()
-        with tel.timer.span("batch"):
-            if engine in ("bulk", "native"):
-                self._scan_pairwise(engine, new_moduli, base, report)
-            elif engine == "ptree":
-                self._scan_ptree(new_moduli, base, report)
-            else:
-                self._scan_all2all(new_moduli, base, report)
-            if self._uses_ptree():
-                # auto maintains the tree even on pairwise batches, so the
-                # next flush can still choose the descent
-                self._ptree.append(new_moduli)
-        self.moduli.extend(new_moduli)
+        with tel.timer.span("batch" if adopt else "cross"):
+            ENGINES[engine].cover(self, new_moduli, base, report, include_internal)
+            if adopt:
+                self._extend(new_moduli)
         # each batch owns its own span measurement: deriving it from the
-        # shared "batch" timer total mis-attributes time under nested or
+        # shared timer total mis-attributes time under nested or
         # concurrent spans (the timer keys by slash-joined path)
         report.elapsed_seconds = clock() - started
         report.hits.sort(key=lambda h: (h.i, h.j))
-        report.pairs_tested = pairs
-        self.total_pairs_tested += pairs
-        self.all_hits = _merge_hits(self.all_hits, report.hits)
+        report.pairs_tested = base * k + (k * (k - 1) // 2 if include_internal else 0)
         reg = tel.registry
-        reg.counter("incremental.batches").inc()
-        reg.counter(f"incremental.engine.{engine}").inc()
-        reg.counter("incremental.keys").inc(k)
         reg.counter("scan.pairs_tested").inc(report.pairs_tested)
         reg.counter("scan.hits").inc(len(report.hits))
+        return report
+
+    def add_batch(self, new_moduli: list[int]) -> BatchReport:
+        """Ingest a batch, covering only the pairs it creates."""
+        report = self._cover(new_moduli, include_internal=True, adopt=True)
+        self.total_pairs_tested += report.pairs_tested
+        self.all_hits = _merge_hits(self.all_hits, report.hits)
+        tel = self.telemetry
+        reg = tel.registry
+        reg.counter("incremental.batches").inc()
+        reg.counter(f"incremental.engine.{report.engine}").inc()
+        reg.counter("incremental.keys").inc(report.new_keys)
         reg.histogram("incremental.batch_pairs").observe(report.pairs_tested)
         report.metrics = tel.snapshot()
-        tel.emit("batch.done", batch=report.batch_index, engine=engine,
+        tel.emit("batch.done", batch=report.batch_index, engine=report.engine,
                  pairs=report.pairs_tested, hits=len(report.hits),
                  elapsed_seconds=report.elapsed_seconds)
         return report
@@ -299,45 +282,9 @@ class IncrementalScanner:
         >>> ([(h.i, h.j, h.prime) for h in r.hits], r.pairs_tested, s.n_keys)
         ([(0, 1, 193)], 3, 1)
         """
-        for n in new_moduli:
-            if n <= 1 or n % 2 == 0:
-                raise ValueError("RSA moduli must be odd and > 1")
-            if n.bit_length() != self.bits:
-                raise ValueError(
-                    f"modulus of {n.bit_length()} bits in a {self.bits}-bit scanner"
-                )
-        tel = self.telemetry
-        self._ensure_engine_state()
-        base = len(self.moduli)
-        k = len(new_moduli)
-        engine = self._pick_engine(base, k)
-        report = BatchReport(
-            batch_index=-1, new_keys=k, total_keys=base + k, engine=engine
-        )
-        clock = tel.timer.clock
-        started = clock()
-        with tel.timer.span("cross"):
-            if engine in ("bulk", "native"):
-                self._scan_pairwise(
-                    engine, new_moduli, base, report,
-                    include_internal=include_internal,
-                )
-            elif engine == "ptree":
-                self._cross_ptree(new_moduli, base, report)
-                if include_internal:
-                    self._scan_internal(new_moduli, base, report)
-            else:
-                self._cross_all2all(new_moduli, base, report)
-                if include_internal:
-                    self._scan_internal(new_moduli, base, report)
-        report.elapsed_seconds = clock() - started
-        report.hits.sort(key=lambda h: (h.i, h.j))
-        report.pairs_tested = base * k + (k * (k - 1) // 2 if include_internal else 0)
-        reg = tel.registry
-        reg.counter("incremental.cross_scans").inc()
-        reg.counter("scan.pairs_tested").inc(report.pairs_tested)
-        reg.counter("scan.hits").inc(len(report.hits))
-        report.metrics = tel.snapshot()
+        report = self._cover(new_moduli, include_internal=include_internal, adopt=False)
+        self.telemetry.registry.counter("incremental.cross_scans").inc()
+        report.metrics = self.telemetry.snapshot()
         return report
 
     def adopt(self, new_moduli: list[int]) -> None:
@@ -346,39 +293,29 @@ class IncrementalScanner:
         The dual of :meth:`cross_scan`: pairs involving these keys were
         covered elsewhere (by this scanner's own cross-scan against them,
         or by a sibling shard), so only membership changes — the ptree
-        carry-merges the new leaves, the all2all running product absorbs
-        them, and ``total_pairs_tested`` is untouched.
+        carry-merges the new leaves and ``total_pairs_tested`` is
+        untouched.
 
         >>> s = IncrementalScanner(bits=16)
         >>> s.adopt([193 * 197, 193 * 199])
         >>> (s.n_keys, s.total_pairs_tested)
         (2, 0)
         """
-        for n in new_moduli:
-            if n <= 1 or n % 2 == 0:
-                raise ValueError("RSA moduli must be odd and > 1")
-            if n.bit_length() != self.bits:
-                raise ValueError(
-                    f"modulus of {n.bit_length()} bits in a {self.bits}-bit scanner"
-                )
+        self._check(new_moduli)
         if not new_moduli:
             return
         self._ensure_engine_state()
-        if self._uses_ptree():
-            self._ptree.append(new_moduli)
-        if self.engine_name == "all2all":
-            B = self.backend
-            prod_new = B.prod([B.from_int(n) for n in new_moduli])
-            self._product = B.mul(self._product, prod_new)
-        self.moduli.extend(new_moduli)
+        self._extend(new_moduli)
         self.telemetry.registry.counter("incremental.adopted_keys").inc(len(new_moduli))
 
-    def _scan_pairwise(
-        self, engine: str, new_moduli: list[int], base: int, report: BatchReport,
-        *, include_internal: bool = True,
+    def _cover_pairwise(
+        self, new_moduli: list[int], base: int, report: BatchReport,
+        include_internal: bool,
     ) -> None:
         """One GCD per new pair: every new key against every old key, plus
-        new-new pairs — chunked so memory stays bounded."""
+        new-new pairs — chunked so memory stays bounded.  The ``bulk``
+        tier runs each chunk on the SIMT engine, ``native`` on the
+        big-integer backend."""
         tel = self.telemetry
         index_pairs: list[tuple[int, int]] = []
         for t, _ in enumerate(new_moduli):
@@ -390,7 +327,7 @@ class IncrementalScanner:
         for start in range(0, len(index_pairs), self.chunk_pairs):
             chunk = index_pairs[start : start + self.chunk_pairs]
             values = [(corpus[a], corpus[b]) for a, b in chunk]
-            if engine == "bulk":
+            if self.engine is not None:
                 result = self.engine.run_pairs(
                     values, stop_bits=self.stop_bits, compact=True, telemetry=tel
                 )
@@ -403,21 +340,14 @@ class IncrementalScanner:
                     report.hits.append(WeakHit(a, b, g))
             tel.advance(len(chunk))
 
-    def _scan_internal(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """The ``k(k−1)/2`` new-new pairs, directly (batches are small)."""
-        B = self.backend
-        gcd, to_int, from_int = B.gcd, B.to_int, B.from_int
-        native = [from_int(n) for n in new_moduli]
-        for t in range(1, len(native)):
-            for u in range(t):
-                g = to_int(gcd(native[u], native[t]))
-                if g > 1:
-                    report.hits.append(WeakHit(base + u, base + t, g))
-
-    def _cross_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
+    def _cover_ptree(
+        self, new_moduli: list[int], base: int, report: BatchReport,
+        include_internal: bool,
+    ) -> None:
         """Cross pairs via one remainder descent of ``Π new`` down the
         persistent tree; flagged old keys are attributed to their partners
-        with small GCDs against the flag value."""
+        with small GCDs against the flag value.  The ``k(k−1)/2`` new-new
+        pairs go direct (batches are small)."""
         tel = self.telemetry
         B = self.backend
         gcd, to_int, from_int = B.gcd, B.to_int, B.from_int
@@ -440,40 +370,12 @@ class IncrementalScanner:
                             WeakHit(i, base + t, to_int(gcd(leaf, nk)))
                         )
             tel.advance(base)
-
-    def _scan_ptree(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        self._cross_ptree(new_moduli, base, report)
-        self._scan_internal(new_moduli, base, report)
-
-    def _cross_all2all(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        """Pelofske-style all-to-all: flag each new key against the running
-        product of the old corpus, attribute only the flagged ones."""
-        tel = self.telemetry
-        B = self.backend
-        gcd, mod, to_int, from_int = B.gcd, B.mod, B.to_int, B.from_int
-        one = B.from_int(1)
-        native_new = [from_int(n) for n in new_moduli]
-        if base:
-            for t, nk in enumerate(native_new):
-                g = gcd(nk, mod(self._product, nk))
-                if g <= one:
-                    continue
-                # g holds every prime this key shares with the old corpus;
-                # candidates are the old keys sharing part of g (small GCDs)
-                for i, n_old in enumerate(self.moduli):
-                    cand = from_int(n_old)
-                    if to_int(gcd(cand, g)) > 1:
-                        report.hits.append(
-                            WeakHit(i, base + t, to_int(gcd(cand, nk)))
-                        )
-            tel.advance(base)
-
-    def _scan_all2all(self, new_moduli: list[int], base: int, report: BatchReport) -> None:
-        self._cross_all2all(new_moduli, base, report)
-        self._scan_internal(new_moduli, base, report)
-        B = self.backend
-        prod_new = B.prod([B.from_int(n) for n in new_moduli]) if new_moduli else B.from_int(1)
-        self._product = B.mul(self._product, prod_new)
+        if include_internal:
+            for t in range(1, len(native_new)):
+                for u in range(t):
+                    g = to_int(gcd(native_new[u], native_new[t]))
+                    if g > 1:
+                        report.hits.append(WeakHit(base + u, base + t, g))
 
     # -- accounting ------------------------------------------------------------
 
@@ -534,42 +436,33 @@ class IncrementalScanner:
         The restored scanner picks up exactly where the snapshot left off:
         the next :meth:`add_batch` scans only new-vs-old and new-vs-new
         pairs, and no hit already in the snapshot is ever re-reported.
-        ``overrides`` may replace any scan-configuration field recorded in
-        the snapshot (``algorithm``, ``d``, ``chunk_pairs``,
-        ``early_terminate``, ``engine``) — the corpus facts cannot change.
+        ``overrides`` may replace any of :data:`SCAN_CONFIG_FIELDS` — the
+        corpus facts cannot change; a field neither the payload nor the
+        caller gives takes the constructor's default.
 
-        Version-2 snapshots record the resolved ``int_backend``; restoring
-        one resolves the *same* backend unless the caller overrides it
-        explicitly, and raises if that backend is not importable here.
-        Version-1 payloads (no backend record, no tree) still restore —
-        the ``ptree`` tier rebuilds its tree from the moduli.
+        The payload's recorded ``int_backend`` is resolved again unless
+        the caller overrides it explicitly, and restoring raises if that
+        backend is not importable here.
         """
         if not isinstance(state, dict):
             raise ValueError("snapshot must be a dict")
         version = state.get("version")
-        if version not in (1, SNAPSHOT_VERSION):
+        if version != SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported scanner snapshot version {version!r}"
             )
-        config = {
-            "bits": int(state["bits"]),
-            "algorithm": state["algorithm"],
-            "d": int(state["d"]),
-            "chunk_pairs": int(state["chunk_pairs"]),
-            "early_terminate": bool(state["early_terminate"]),
-            "engine": state["engine"],
-        }
-        unknown = set(overrides) - (set(config) - {"bits"})
+        unknown = set(overrides) - set(SCAN_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown restore overrides: {sorted(unknown)}")
+        config = {k: state[k] for k in SCAN_CONFIG_FIELDS if k in state}
         config.update(overrides)
         if int_backend is None:
             # pin to the snapshot's resolved backend: a missing gmpy2 here
             # raises from resolve_backend instead of silently downgrading
             int_backend = state.get("int_backend")
         scanner = cls(
-            int_backend=int_backend, spool_dir=spool_dir,
-            telemetry=telemetry, **config,
+            bits=int(state["bits"]), int_backend=int_backend,
+            spool_dir=spool_dir, telemetry=telemetry, **config,
         )
         moduli = [int(n) for n in state["moduli"]]
         for n in moduli:
@@ -589,3 +482,41 @@ class IncrementalScanner:
         scanner._batches = int(state["batches"])
         scanner._ensure_engine_state()
         return scanner
+
+
+@dataclass(frozen=True)
+class EngineTier:
+    """One row of :data:`ENGINES`: everything engine selection needs."""
+
+    #: per-pair work runs on the :mod:`repro.util.intops` backend
+    int_backend: bool
+    #: the persistent product tree is kept current on every batch
+    ptree: bool
+    #: covers a batch's new pairs: ``(scanner, new_moduli, base, report,
+    #: include_internal)``; ``None`` for a tier that only picks another
+    cover: Callable[..., None] | None = None
+    #: the ``auto`` rule: ``(base, k)`` -> the tier covering this batch
+    pick: Callable[[int, int], str] | None = None
+
+
+def _auto_pick(base: int, k: int) -> str:
+    """Pairwise below the measured crossover in cross pairs, tree descent
+    above it."""
+    return "ptree" if base * k >= AUTO_MIN_CROSS_PAIRS else "native"
+
+
+#: every engine tier by name — scanner construction, per-batch dispatch,
+#: the CLI's ``--stream-engine``/``--scan-engine`` choices and the tests'
+#: engine lists all read this one table
+ENGINES: dict[str, EngineTier] = {
+    "bulk": EngineTier(
+        int_backend=False, ptree=False, cover=IncrementalScanner._cover_pairwise
+    ),
+    "native": EngineTier(
+        int_backend=True, ptree=False, cover=IncrementalScanner._cover_pairwise
+    ),
+    "ptree": EngineTier(
+        int_backend=True, ptree=True, cover=IncrementalScanner._cover_ptree
+    ),
+    "auto": EngineTier(int_backend=True, ptree=True, pick=_auto_pick),
+}

@@ -78,16 +78,12 @@ class ServiceConfig:
     state_dir: Path
     #: modulus size; ``None`` pins to the first key's size (persisted)
     bits: int | None = None
-    #: scan engine tier: ``auto`` (serving default; picks ``native`` or
-    #: ``ptree`` per batch from the measured crossover), ``native``,
-    #: ``bulk``, ``ptree``, or ``all2all``
+    #: scan engine tier, a key of :data:`repro.core.incremental.ENGINES`:
+    #: ``auto`` (serving default; picks ``native`` or ``ptree`` per batch
+    #: from the measured crossover), ``native``, ``bulk`` or ``ptree``
     engine: str = "auto"
     #: big-integer backend for the non-bulk engines (auto/python/gmpy2)
     int_backend: str | None = None
-    algorithm: str = "approx"
-    d: int = 32
-    chunk_pairs: int = 4096
-    early_terminate: bool = True
     #: micro-batching: flush at ``max_batch`` keys or after ``linger_ms``
     max_batch: int = 256
     linger_ms: float = 20.0
@@ -162,7 +158,7 @@ class WeakKeyService:
             self.router = ShardRouter(
                 state_dir=self.config.state_dir,
                 shards=self.config.shards,
-                scan_config=self._scan_config(),
+                engine=self.config.engine,
                 int_backend=self.config.int_backend,
                 bits=self.bits,
                 telemetry=self.telemetry,
@@ -170,12 +166,7 @@ class WeakKeyService:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(self._executor, self.router.start, self.registry)
         elif self.registry.n_keys:
-            self.scanner = IncrementalScanner.restore(
-                self.registry.scanner_snapshot(**self._scan_config()),
-                int_backend=self.config.int_backend,
-                spool_dir=self._ptree_dir(),
-                telemetry=self.telemetry,
-            )
+            self.scanner = self._restored_scanner()
         elif self.bits is not None:
             self.scanner = self._fresh_scanner(self.bits)
         await self.batcher.start()
@@ -234,13 +225,6 @@ class WeakKeyService:
             shards=self.config.shards, keys=self.registry.n_keys,
         )
 
-    def _scan_config(self) -> dict:
-        c = self.config
-        return {
-            "algorithm": c.algorithm, "d": c.d, "chunk_pairs": c.chunk_pairs,
-            "early_terminate": c.early_terminate, "engine": c.engine,
-        }
-
     def _ptree_dir(self) -> Path:
         """Where the ``ptree``/``auto`` tiers checkpoint the product tree —
         beside the registry spool, restored with it."""
@@ -248,9 +232,17 @@ class WeakKeyService:
 
     def _fresh_scanner(self, bits: int) -> IncrementalScanner:
         return IncrementalScanner(
-            bits=bits, int_backend=self.config.int_backend,
-            spool_dir=self._ptree_dir(),
-            telemetry=self.telemetry, **self._scan_config(),
+            bits=bits, engine=self.config.engine,
+            int_backend=self.config.int_backend,
+            spool_dir=self._ptree_dir(), telemetry=self.telemetry,
+        )
+
+    def _restored_scanner(self) -> IncrementalScanner:
+        """A scanner over the registry's corpus — the durable truth."""
+        return IncrementalScanner.restore(
+            self.registry.scanner_snapshot(engine=self.config.engine),
+            int_backend=self.config.int_backend,
+            spool_dir=self._ptree_dir(), telemetry=self.telemetry,
         )
 
     # -- integrity -------------------------------------------------------------
@@ -375,17 +367,11 @@ class WeakKeyService:
             try:
                 report = self.scanner.add_batch(fresh)
             except Exception:
-                # a failed flush can leave the scanner's engine state
-                # (product tree, running product) half-updated; rebuild it
-                # from the registry — the durable truth — so the retried
-                # batch scans against a consistent corpus
+                # a failed flush can leave the scanner's product tree
+                # half-updated; rebuild it from the registry so the
+                # retried batch scans against a consistent corpus
                 self.scanner = (
-                    IncrementalScanner.restore(
-                        self.registry.scanner_snapshot(**self._scan_config()),
-                        int_backend=self.config.int_backend,
-                        spool_dir=self._ptree_dir(),
-                        telemetry=self.telemetry,
-                    )
+                    self._restored_scanner()
                     if self.registry.n_keys
                     else self._fresh_scanner(self.bits)
                 )

@@ -47,7 +47,7 @@ from pathlib import Path
 
 from repro.core.attack import WeakHit
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
-from repro.core.incremental import SNAPSHOT_VERSION
+from repro.core.incremental import SCAN_CONFIG_FIELDS, SNAPSHOT_VERSION
 from repro.core.spool import SpoolError, read_blob, write_blob
 from repro.resilience import RetryPolicy, faults
 from repro.rsa.keys import DEFAULT_E
@@ -474,25 +474,21 @@ class WeakKeyRegistry:
         Valid because of the commit contract: every committed batch was
         fully scanned against all keys registered before it, so coverage is
         exactly complete — restart never rescans an old-vs-old pair.
-        ``scan_config`` supplies the scan parameters (``algorithm``, ``d``,
-        ``chunk_pairs``, ``early_terminate``, ``engine``, ``int_backend``).
+        ``scan_config`` may set any of
+        :data:`~repro.core.incremental.SCAN_CONFIG_FIELDS` and
+        ``int_backend``; the rest take the scanner's defaults on restore.
         """
         if self.bits is None:
             raise RegistryError("registry holds no keys yet; nothing to snapshot")
+        unknown = set(scan_config) - {*SCAN_CONFIG_FIELDS, "int_backend"}
+        if unknown:
+            raise RegistryError(f"unknown scan config: {sorted(unknown)}")
         with self._lock:
             m = len(self.moduli)
-            config = {
-                "algorithm": "approx", "d": 32, "chunk_pairs": 4096,
-                "early_terminate": True, "engine": "auto", "int_backend": None,
-            }
-            unknown = set(scan_config) - set(config)
-            if unknown:
-                raise RegistryError(f"unknown scan config: {sorted(unknown)}")
-            config.update(scan_config)
             return {
                 "version": SNAPSHOT_VERSION,
                 "bits": self.bits,
-                **config,
+                **scan_config,
                 "moduli": list(self.moduli),
                 "hits": [[h.i, h.j, h.prime] for h in self.hits],
                 "total_pairs_tested": m * (m - 1) // 2,

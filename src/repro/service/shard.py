@@ -78,8 +78,6 @@ SHARD_SNAPSHOT_FORMAT = "repro.shard-snapshot/1"
 #: balance spread at single-digit shard counts without bloating lookups
 DEFAULT_RING_REPLICAS = 32
 
-_SCAN_CONFIG_KEYS = ("algorithm", "d", "chunk_pairs", "early_terminate", "engine")
-
 
 class ShardJobFailed(FatalError):
     """One shard exhausted its per-job attempt budget — a poison batch."""
@@ -226,7 +224,7 @@ class _ShardWorker:
         shards: int,
         replicas: int,
         state_dir: str,
-        scan_config: dict,
+        engine: str,
         int_backend: str | None,
     ) -> None:
         self.shard = shard
@@ -234,7 +232,7 @@ class _ShardWorker:
         self.replicas = replicas
         self.ring = ShardRing(shards, replicas=replicas)
         self.dir = Path(state_dir) / "shards" / str(shard)
-        self.scan_config = dict(scan_config)
+        self.engine = engine
         self.int_backend = int_backend
         self.telemetry = Telemetry.create()
         self.scanner: IncrementalScanner | None = None
@@ -289,17 +287,12 @@ class _ShardWorker:
         try:
             scanner_state = payload["scanner"]
             if scanner_state is not None:
-                overrides = {
-                    k: self.scan_config[k]
-                    for k in _SCAN_CONFIG_KEYS
-                    if k in self.scan_config
-                }
                 self.scanner = IncrementalScanner.restore(
                     scanner_state,
                     int_backend=self.int_backend,
                     spool_dir=self.dir / "ptree",
                     telemetry=self.telemetry,
-                    **overrides,
+                    engine=self.engine,
                 )
             else:
                 self.scanner = None
@@ -359,10 +352,10 @@ class _ShardWorker:
         if self.scanner is None:
             self.scanner = IncrementalScanner(
                 bits=bits,
+                engine=self.engine,
                 int_backend=self.int_backend,
                 spool_dir=self.dir / "ptree",
                 telemetry=self.telemetry,
-                **{k: v for k, v in self.scan_config.items() if k in _SCAN_CONFIG_KEYS},
             )
         return self.scanner
 
@@ -495,11 +488,11 @@ def _shard_worker_main(
     shards: int,
     replicas: int,
     state_dir: str,
-    scan_config: dict,
+    engine: str,
     int_backend: str | None,
 ) -> None:
     """Process entry point for one shard worker (fork- and spawn-safe)."""
-    worker = _ShardWorker(shard, shards, replicas, state_dir, scan_config, int_backend)
+    worker = _ShardWorker(shard, shards, replicas, state_dir, engine, int_backend)
     worker.run(conn)
 
 
@@ -549,7 +542,7 @@ class ShardRouter:
         *,
         state_dir: str | Path,
         shards: int,
-        scan_config: dict,
+        engine: str,
         int_backend: str | None = None,
         bits: int | None = None,
         telemetry: Telemetry | None = None,
@@ -563,7 +556,7 @@ class ShardRouter:
         self.shards = shards
         self.replicas = replicas
         self.ring = ShardRing(shards, replicas=replicas)
-        self.scan_config = {k: v for k, v in scan_config.items() if k in _SCAN_CONFIG_KEYS}
+        self.engine = engine
         self.int_backend = int_backend
         self.bits = bits
         self.telemetry = telemetry if telemetry is not None else Telemetry.create()
@@ -803,7 +796,7 @@ class ShardRouter:
             target=_shard_worker_main,
             args=(
                 child_conn, k, self.shards, self.replicas, str(self.state_dir),
-                self.scan_config, self.int_backend,
+                self.engine, self.int_backend,
             ),
             name=f"repro-shard-{k}",
             daemon=True,

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.core.attack import find_shared_primes
-from repro.core.incremental import IncrementalScanner
+from repro.core import incremental
+from repro.core.incremental import ENGINES, IncrementalScanner
 from repro.rsa.corpus import generate_weak_corpus
 
 BITS = 64
@@ -151,8 +152,9 @@ class TestSnapshotRestore:
         scanner = IncrementalScanner(bits=BITS)
         scanner.add_batch(corpus.moduli[:4])
         good = scanner.snapshot()
-        with pytest.raises(ValueError, match="version"):
-            IncrementalScanner.restore({**good, "version": 99})
+        for version in (1, 99):
+            with pytest.raises(ValueError, match="unsupported scanner snapshot version"):
+                IncrementalScanner.restore({**good, "version": version})
         with pytest.raises(ValueError, match="invalid"):
             IncrementalScanner.restore({**good, "moduli": [6]})
         with pytest.raises(ValueError, match="out of range"):
@@ -178,12 +180,11 @@ class TestSnapshotRestore:
 class TestEngineTiers:
     def test_all_engines_report_identical_streams(self, corpus, tmp_path):
         scanners = {
-            "bulk": IncrementalScanner(bits=BITS, engine="bulk"),
-            "native": IncrementalScanner(bits=BITS, engine="native"),
-            "ptree": IncrementalScanner(
-                bits=BITS, engine="ptree", spool_dir=tmp_path / "pt"
-            ),
-            "all2all": IncrementalScanner(bits=BITS, engine="all2all"),
+            name: IncrementalScanner(
+                bits=BITS, engine=name,
+                spool_dir=tmp_path / name if tier.ptree else None,
+            )
+            for name, tier in ENGINES.items()
         }
         for start in range(0, corpus.n_keys, 5):
             batch = corpus.moduli[start : start + 5]
@@ -196,22 +197,22 @@ class TestEngineTiers:
             assert scanner.total_pairs_tested == reference.total_pairs_tested
             assert scanner.coverage_is_complete()
 
-    def test_auto_picks_by_measured_crossover(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR_AUTO_MIN_PAIRS", "20")
+    @staticmethod
+    def _auto_picks(corpus, monkeypatch, threshold):
+        monkeypatch.setattr(incremental, "AUTO_MIN_CROSS_PAIRS", threshold)
         scanner = IncrementalScanner(bits=BITS, engine="auto")
-        small = scanner.add_batch(corpus.moduli[:4])  # 6 pairs < 20
-        assert small.engine == "native"
-        big = scanner.add_batch(corpus.moduli[4:])  # 4*14 pairs >= 20
-        assert big.engine == "ptree"
+        # 4 keys after none: 0 cross pairs; 14 keys after 4: 56 cross pairs
+        reports = [scanner.add_batch(corpus.moduli[:4]), scanner.add_batch(corpus.moduli[4:])]
         expected = {(h.i, h.j) for h in IncrementalScanner(bits=BITS).add_batch(corpus.moduli).hits}
         assert {(h.i, h.j) for h in scanner.all_hits} == expected
+        return [r.engine for r in reports]
+
+    def test_auto_picks_by_measured_crossover(self, corpus, monkeypatch):
+        assert self._auto_picks(corpus, monkeypatch, 20) == ["native", "ptree"]
 
     def test_auto_threshold_env_flips_the_choice(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR_AUTO_MIN_PAIRS", "1000000")
-        scanner = IncrementalScanner(bits=BITS, engine="auto")
-        scanner.add_batch(corpus.moduli[:9])
-        rep = scanner.add_batch(corpus.moduli[9:])
-        assert rep.engine == "native"
+        # the threshold is a module constant now, not an environment knob
+        assert self._auto_picks(corpus, monkeypatch, 10**6) == ["native", "native"]
 
     def test_all_hits_stays_sorted_across_merges(self, corpus):
         scanner = IncrementalScanner(bits=BITS)
@@ -242,23 +243,6 @@ class TestSnapshotVersioning:
         # an explicit caller choice still overrides the pin
         back = IncrementalScanner.restore(snap, int_backend="python")
         assert back.backend.name == "python"
-
-    def test_v1_snapshot_still_restores(self, corpus, tmp_path):
-        scanner = IncrementalScanner(bits=BITS, engine="native")
-        scanner.add_batch(corpus.moduli[:10])
-        v1 = scanner.snapshot()
-        v1["version"] = 1
-        del v1["int_backend"]  # v1 payloads predate the backend record
-        resumed = IncrementalScanner.restore(
-            v1, engine="ptree", spool_dir=tmp_path / "pt"
-        )
-        assert resumed._ptree.n_leaves == 10  # tree rebuilt from moduli
-        rep = resumed.add_batch(corpus.moduli[10:])
-        assert resumed.coverage_is_complete()
-        straight = IncrementalScanner(bits=BITS)
-        straight.add_batch(corpus.moduli)
-        assert resumed.all_hits == straight.all_hits
-        assert rep.engine == "ptree"
 
     def test_restored_ptree_loads_from_spool(self, corpus, tmp_path):
         from repro.telemetry import Telemetry
@@ -313,13 +297,11 @@ class TestIncrementalTelemetry:
 class TestCrossScanAdopt:
     """The shard-fleet primitives: scan-without-adopting, adopt-without-scanning."""
 
-    ENGINES = ("bulk", "native", "ptree", "all2all", "auto")
-
     def _scanner(self, engine, tmp_path):
-        kwargs = {"spool_dir": tmp_path / f"pt-{engine}"} if engine == "ptree" else {}
-        return IncrementalScanner(bits=BITS, engine=engine, **kwargs)
+        spool_dir = tmp_path / f"pt-{engine}" if ENGINES[engine].ptree else None
+        return IncrementalScanner(bits=BITS, engine=engine, spool_dir=spool_dir)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", tuple(ENGINES))
     def test_cross_plus_adopt_equals_add_batch(self, corpus, tmp_path, engine):
         reference = IncrementalScanner(bits=BITS)
         split = self._scanner(engine, tmp_path)

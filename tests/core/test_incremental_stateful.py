@@ -1,9 +1,10 @@
 """Stateful property tests: engine tiers differentially, and vs an oracle.
 
 Hypothesis drives an arbitrary interleaving of key-batch arrivals (weak
-and healthy keys mixed) and snapshot/restore round-trips across *all four*
-engine tiers at once — ``bulk``, ``native``, ``ptree`` (spool-backed), and
-``all2all``.  After every step the tiers must agree on everything
+and healthy keys mixed) and snapshot/restore round-trips across every
+engine in :data:`~repro.core.incremental.ENGINES` at once — ``bulk``,
+``native``, and the spool-backed ``ptree`` and ``auto``.  After every
+step the tiers must agree on everything
 observable: identical hit triples ``(i, j, prime)``, identical
 ``pairs_tested`` accounting, and ``coverage_is_complete()`` — and the
 shared hit set must equal the brute-force all-pairs oracle over
@@ -20,11 +21,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.incremental import IncrementalScanner
+from repro.core.incremental import ENGINES, IncrementalScanner
 
 BITS = 32  # tiny "moduli" keep the oracle cheap; scanner logic is size-blind
-
-ENGINES = ("bulk", "native", "ptree", "all2all")
 
 # 16-bit primes with the top two bits set, so every product has 32 bits
 _PRIMES = [49157, 49169, 49171, 49177, 49193, 49199, 49201, 49207, 49211, 49223]
@@ -46,7 +45,7 @@ def _picks():
 
 
 class EngineDifferentialMachine(RuleBasedStateMachine):
-    """All four engines fed the same stream must stay indistinguishable."""
+    """Every engine fed the same stream must stay indistinguishable."""
 
     def __init__(self):
         super().__init__()
@@ -54,9 +53,9 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
         self.scanners = {
             engine: IncrementalScanner(
                 bits=BITS, d=8, chunk_pairs=7, engine=engine,
-                spool_dir=self.tmp / "ptree" if engine == "ptree" else None,
+                spool_dir=self.tmp / engine if tier.ptree else None,
             )
-            for engine in ENGINES
+            for engine, tier in ENGINES.items()
         }
         self.ingested: list[int] = []
 
@@ -87,7 +86,7 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
             assert math.gcd(self.ingested[h.i], self.ingested[h.j]) % h.prime == 0
             assert h.prime > 1
 
-    @rule(engine=st.sampled_from(ENGINES))
+    @rule(engine=st.sampled_from(tuple(ENGINES)))
     def snapshot_restore(self, engine):
         """Round-trip one engine through its snapshot; nothing may change."""
         scanner = self.scanners[engine]
@@ -101,7 +100,7 @@ class EngineDifferentialMachine(RuleBasedStateMachine):
         assert restored.total_pairs_tested == scanner.total_pairs_tested
         self.scanners[engine] = restored
 
-    @rule(source=st.sampled_from(ENGINES), dest=st.sampled_from(ENGINES))
+    @rule(source=st.sampled_from(tuple(ENGINES)), dest=st.sampled_from(tuple(ENGINES)))
     def restore_cross_engine(self, source, dest):
         """A snapshot from any tier restores into any other tier."""
         snap = self.scanners[source].snapshot()

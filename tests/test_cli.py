@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core.incremental import ENGINES
 from repro.rsa.pem import load_public_moduli
 from repro.util.intops import available_backends
 
@@ -435,6 +436,31 @@ class TestBackendsCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "gmpy2" in err
+
+
+class TestEngineChoices:
+    """Engine flags take their choices from the scanner's engine table."""
+
+    @staticmethod
+    def _action(command, dest):
+        sub = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        ).choices[command]
+        return next(a for a in sub._actions if a.dest == dest)
+
+    @pytest.mark.parametrize(
+        "command, dest", [("scan", "stream_engine"), ("serve", "scan_engine")]
+    )
+    def test_choices_are_the_table(self, command, dest):
+        action = self._action(command, dest)
+        assert tuple(action.choices) == tuple(ENGINES)
+        assert action.default == "auto"
+
+    def test_removed_engine_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--state-dir", str(tmp_path), "--scan-engine", "all2all"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSubmitCommand:
