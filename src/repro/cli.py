@@ -185,10 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for spilled tree levels and the checkpoint manifest",
     )
     bs.add_argument(
-        "--shard-size", type=int, default=1024,
-        help="moduli ingested per shard (default 1024)",
-    )
-    bs.add_argument(
         "--memory-budget", default="256m", metavar="BYTES",
         help="bytes of tree nodes held in RAM at once; suffixes k/m/g "
         "(default 256m) — smaller budgets mean more, smaller chunks",
@@ -805,7 +801,6 @@ def _cmd_batchscan(args: argparse.Namespace) -> int:
 
     config = PipelineConfig(
         spool_dir=args.spool_dir,
-        shard_size=args.shard_size,
         memory_budget=_parse_bytes(args.memory_budget),
         workers=args.workers,
         resume=args.resume,

@@ -11,7 +11,7 @@ Resume semantics (see ``docs/BATCH_PIPELINE.md``):
 
 * a missing or unparsable manifest means "start from scratch";
 * the stored config is *not* compared on resume: no current config field
-  (``shard_size``, ``memory_budget``, ``workers``) affects blob contents,
+  (``memory_budget``, ``workers``, ``backend``) affects blob contents,
   so resuming with different parameters is safe and keeps the checkpoint.
   What pins the checkpoint to its input is the ingest blob's SHA-256, and
   the stage plan is rederived from the ingest record's count alone.  If a
@@ -24,13 +24,11 @@ Resume semantics (see ``docs/BATCH_PIPELINE.md``):
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.core.spool import blob_sha256, write_sidecar
+from repro.core.spool import BlobInfo, atomic_write, blob_sha256, write_sidecar
 from repro.resilience import faults
 
 __all__ = ["StageRecord", "Manifest", "CheckpointStore", "MANIFEST_NAME", "MANIFEST_VERSION"]
@@ -56,12 +54,27 @@ class StageRecord:
     sha256: str
     seconds: float
 
+    @classmethod
+    def from_blob(cls, name: str, info: BlobInfo, seconds: float = 0.0) -> StageRecord:
+        """The record pinning the blob that one :func:`write_blob` produced.
+
+        >>> from pathlib import Path
+        >>> info = BlobInfo(path=Path("s/keys-000000.bin"), count=2, nbytes=14,
+        ...                 sha256="cd" * 32)
+        >>> StageRecord.from_blob("keys.0", info).blob
+        'keys-000000.bin'
+        """
+        return cls(
+            name=name, blob=info.path.name, count=info.count,
+            nbytes=info.nbytes, sha256=info.sha256, seconds=seconds,
+        )
+
 
 @dataclass
 class Manifest:
     """The run's durable state: configuration plus completed stages.
 
-    >>> m = Manifest(config={"n_moduli": 8, "shard_size": 4})
+    >>> m = Manifest(config={"n_moduli": 8, "memory_budget": 4096})
     >>> m.stage("ingest") is None
     True
     """
@@ -118,7 +131,7 @@ class CheckpointStore:
             return None
 
     def save(self, manifest: Manifest) -> None:
-        """Atomically persist the manifest (tmp file + rename + fsync).
+        """Durably persist the manifest via :func:`repro.core.spool.atomic_write`.
 
         Also drops a ``manifest.json.sha256`` sidecar with the digest of
         the committed bytes, so the integrity layer can deep-verify the
@@ -133,14 +146,9 @@ class CheckpointStore:
             "stages": [asdict(record) for record in manifest.stages],
         }
         body = (json.dumps(payload, indent=2) + "\n").encode()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("wb") as fh:
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        _, sha256 = atomic_write(self.path, [body])
         faults.corrupt_file("manifest.commit", self.path)
-        write_sidecar(self.path, hashlib.sha256(body).hexdigest())
+        write_sidecar(self.path, sha256)
 
     def verify(self, record: StageRecord) -> bool:
         """True iff the stage's blob exists and still matches its SHA-256."""

@@ -29,7 +29,6 @@ unreadable manifest fall back to re-running the affected stages.  See
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -39,7 +38,13 @@ from repro.core.attack import WeakHit, group_batch_hits
 from repro.core.batch_gcd import product_tree
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.parallel import leaf_gcd_chunk, product_chunk, remainder_chunk, run_chunked
-from repro.core.spool import BlobInfo, iter_blob, read_blob, record_nbytes, write_blob
+from repro.core.spool import (
+    BlobInfo,
+    atomic_write,
+    iter_blob,
+    record_nbytes,
+    write_blob,
+)
 from repro.resilience import RetryPolicy, classify_error
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
@@ -75,12 +80,11 @@ class PipelineConfig:
     name is pinned into every chunk work unit, so all workers compute with
     the same arithmetic no matter what is importable where.
 
-    >>> PipelineConfig(spool_dir="/tmp/spool").shard_size
-    1024
+    >>> PipelineConfig(spool_dir="/tmp/spool").workers
+    0
     """
 
     spool_dir: str | Path
-    shard_size: int = 1024
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     workers: int = 0
     resume: bool = False
@@ -213,13 +217,11 @@ def _validated(moduli: Iterable[int]) -> Iterator[int]:
 def _ingest_stage(
     source: Iterable[int], path: Path, config: PipelineConfig, tel: Telemetry
 ) -> BlobInfo:
-    from repro.rsa.corpus import shard_moduli
-
     def records() -> Iterator[int]:
-        for shard in shard_moduli(_validated(source), config.shard_size):
-            tel.registry.counter("pipeline.shards").inc()
-            tel.registry.counter("pipeline.moduli").inc(len(shard))
-            yield from shard
+        moduli = tel.registry.counter("pipeline.moduli")
+        for n in _validated(source):
+            moduli.inc()
+            yield n
 
     info = write_blob(path, records())
     if info.count < 2:
@@ -313,7 +315,7 @@ def _counted(chunks: Iterator[list], tel: Telemetry) -> Iterator[list]:
 
 def _pairing_stage(
     moduli_blob: Path, gcd_blob: Path, dst: Path, B: IntBackend
-) -> tuple[list[WeakHit], int]:
+) -> tuple[list[WeakHit], BlobInfo]:
     flagged = [
         (idx, n, g)
         for idx, (n, g) in enumerate(zip(iter_blob(moduli_blob), iter_blob(gcd_blob)))
@@ -324,14 +326,8 @@ def _pairing_stage(
         "hits": [{"i": h.i, "j": h.j, "prime": str(h.prime)} for h in hits],
         "flagged": len(flagged),
     }
-    tmp = dst.with_name(dst.name + ".tmp")
-    with tmp.open("w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, dst)
-    return hits, dst.stat().st_size
+    nbytes, sha256 = atomic_write(dst, [(json.dumps(payload, indent=2) + "\n").encode()])
+    return hits, BlobInfo(path=dst, count=len(hits), nbytes=nbytes, sha256=sha256)
 
 
 def _load_hits(path: Path) -> list[WeakHit]:
@@ -428,7 +424,6 @@ def run_pipeline(
             levels=top,
             stages=len(plan),
             resumed=result.resumed,
-            shard_size=config.shard_size,
             memory_budget=config.memory_budget,
             workers=config.workers,
             int_backend=B.name,
@@ -443,17 +438,13 @@ def run_pipeline(
             tel.emit("pipeline.stage.start", stage=name)
             dst = spool_dir / blob
             if name == "pairing":
-                (hits, nbytes), seconds = _attempt(
+                (hits, info), seconds = _attempt(
                     name,
                     lambda: _pairing_stage(
                         spool_dir / "product-000.bin", spool_dir / "gcds.bin", dst, B
                     ),
                     config,
                     tel,
-                )
-                info = BlobInfo(
-                    path=dst, count=len(hits), nbytes=nbytes,
-                    sha256=_file_sha256(dst),
                 )
                 result.hits = hits
             else:
@@ -543,7 +534,7 @@ def _check_count(name: str, info: BlobInfo, sizes: list[int], n: int) -> None:
 
 #: metrics incremented *inside* stage bodies — rolled back when an attempt
 #: fails so a retried stage doesn't double-count its records
-_STAGE_COUNTERS = ("pipeline.shards", "pipeline.moduli", "pipeline.chunks")
+_STAGE_COUNTERS = ("pipeline.moduli", "pipeline.chunks")
 _STAGE_HISTOGRAMS = ("pipeline.chunk_items",)
 
 
@@ -620,19 +611,11 @@ def _commit(
     config: PipelineConfig,
     tel: Telemetry,
 ) -> StageRecord:
-    record = StageRecord(
-        name=name,
-        blob=info.path.name,
-        count=info.count,
-        nbytes=info.nbytes,
-        sha256=info.sha256,
-        seconds=seconds,
-    )
+    record = StageRecord.from_blob(name, info, seconds)
     manifest.stages.append(record)
     if name == "ingest":
         manifest.config = {
             "n_moduli": info.count,
-            "shard_size": config.shard_size,
             "memory_budget": config.memory_budget,
             "workers": config.workers,
             "backend": resolve_backend(config.backend).name,
@@ -755,9 +738,3 @@ def quick_check(
         )[-1][0]
     gcd, mod, to_int = B.gcd, B.mod, B.to_int
     return [to_int(gcd(n, mod(root, n))) for n in new_moduli]
-
-
-def _file_sha256(path: Path) -> str:
-    from repro.core.spool import blob_sha256
-
-    return blob_sha256(path)

@@ -216,10 +216,10 @@ class PersistentProductTree:
     def _persist(self) -> None:
         """Commit the live forest: new segment blobs first, manifest second.
 
-        Blob writes are tmp+rename (idempotent under retry); stale blobs
-        from superseded segments are unlinked only after the manifest no
-        longer references them, so no crash window ever leaves the
-        manifest pointing at a missing file.
+        Blob writes go through ``spool.atomic_write`` (idempotent under
+        retry); stale blobs from superseded segments are unlinked only
+        after the manifest no longer references them, so no crash window
+        ever leaves the manifest pointing at a missing file.
         """
         if self.store is None:
             return
@@ -238,10 +238,7 @@ class PersistentProductTree:
                 if record is None:
                     info = write_blob(self.spool_dir / blob, seg.nodes())
                     faults.corrupt_file("ptree.commit", info.path)
-                    record = StageRecord(
-                        name=seg.stage_name(), blob=blob, count=info.count,
-                        nbytes=info.nbytes, sha256=info.sha256, seconds=0.0,
-                    )
+                    record = StageRecord.from_blob(seg.stage_name(), info)
                     writes += 1
                 records.append(record)
             return records

@@ -11,10 +11,16 @@ write is detectable and a reader needs no index:
   by that many little-endian value bytes (zero encodes as a zero-length
   record).
 
-Blob writes go to a ``.tmp`` sibling and are renamed into place only after
-the last record and an ``fsync``, so a crash mid-stage never leaves a
-truncated file under a committed name — the checkpoint manifest
-(:mod:`repro.core.checkpoint`) additionally pins each blob's SHA-256.
+Every durable file the program writes — these blobs, their manifests, the
+``.sha256`` sidecars, ``hits.json``, shard snapshots and the ingest cursor —
+is committed by one primitive, :func:`atomic_write`: write a ``<name>.tmp``
+sibling, ``fsync`` it, rename it over the committed name, then ``fsync``
+the parent directory so the rename itself survives a power loss.  A crash
+mid-write therefore never leaves a truncated file under a committed name
+(at worst a ``.tmp`` residue), and a call that returned is durable.  The
+checkpoint manifest (:mod:`repro.core.checkpoint`) additionally pins each
+blob's SHA-256.  Only the append-only logs (the ingest dedup ``seen.log``
+and the crawl outbox) use a different mechanism.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.resilience import faults
 __all__ = [
     "SpoolError",
     "BlobInfo",
+    "atomic_write",
     "write_blob",
     "iter_blob",
     "read_blob",
@@ -84,8 +91,45 @@ def record_nbytes(value: int) -> int:
     return _LEN_BYTES + (value.bit_length() + 7) // 8
 
 
+def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> tuple[int, str]:
+    """Durably replace ``path`` with the concatenated ``chunks``.
+
+    Writes ``<name>.tmp``, fsyncs it, renames it over ``path`` and fsyncs
+    the parent directory; an error at any step (the directory fsync
+    included) propagates, leaving the old file untouched and at worst the
+    ``.tmp`` residue.  Returns ``(nbytes, sha256)`` of the bytes written,
+    taken in memory so a later corruption of the file can never leak into
+    a digest the caller records.
+
+    >>> import tempfile, pathlib, hashlib
+    >>> with tempfile.TemporaryDirectory() as d:
+    ...     p = pathlib.Path(d, "a.json")
+    ...     nbytes, sha = atomic_write(p, [b"{", b"}"])
+    ...     (p.read_bytes(), nbytes, sha == hashlib.sha256(b"{}").hexdigest())
+    (b'{}', 2, True)
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    nbytes = 0
+    with tmp.open("wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+            nbytes += len(chunk)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+    return nbytes, digest.hexdigest()
+
+
 def write_blob(path: str | Path, values: Iterable[int]) -> BlobInfo:
-    """Stream ``values`` into a blob at ``path``; atomic rename on success.
+    """Stream ``values`` into a blob at ``path`` via :func:`atomic_write`.
 
     Returns the :class:`BlobInfo` (count, byte size, SHA-256 of the final
     file contents).  The input is consumed lazily, so a generator-backed
@@ -100,25 +144,18 @@ def write_blob(path: str | Path, values: Iterable[int]) -> BlobInfo:
     """
     faults.fire("spool.write")
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    digest = hashlib.sha256()
     count = 0
-    nbytes = 0
-    with tmp.open("wb") as fh:
-        fh.write(MAGIC)
-        digest.update(MAGIC)
-        nbytes += len(MAGIC)
+
+    def chunks() -> Iterator[bytes]:
+        nonlocal count
+        yield MAGIC
         for value in values:
-            record = _encode_record(value)
-            fh.write(record)
-            digest.update(record)
+            yield _encode_record(value)
             count += 1
-            nbytes += len(record)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+
+    nbytes, sha256 = atomic_write(path, chunks())
     faults.corrupt_file("spool.write", path)
-    return BlobInfo(path=path, count=count, nbytes=nbytes, sha256=digest.hexdigest())
+    return BlobInfo(path=path, count=count, nbytes=nbytes, sha256=sha256)
 
 
 def iter_blob(path: str | Path, *, backend=None) -> Iterator[int]:
@@ -205,12 +242,7 @@ def write_sidecar(path: str | Path, sha256_hex: str) -> Path:
     True
     """
     side = sidecar_path(path)
-    tmp = side.with_name(side.name + ".tmp")
-    with tmp.open("w") as fh:
-        fh.write(sha256_hex + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, side)
+    atomic_write(side, [(sha256_hex + "\n").encode()])
     return side
 
 

@@ -7,23 +7,21 @@ ledger (``outbox_count``/``outbox_bytes``/``acked_count``) that the
 exactly-once submission protocol reconciles against (see
 ``docs/INGEST.md``).
 
-Commits are crash-atomic the same way the spool's blobs are: write to a
-sibling temp file, ``fsync`` it, ``rename`` over the target, ``fsync``
-the directory.  The ``ct.cursor.commit`` fault point fires *before* the
-temp write, so an injected crash always leaves the previous checkpoint
-intact — the invariant the crash/resume matrix in
-``tests/ingest/test_crawl.py`` kills its way through.
+Commits are crash-atomic the same way the spool's blobs are — tmp +
+fsync + rename + directory fsync, via :func:`repro.core.spool.atomic_write`.
+The ``ct.cursor.commit`` fault point fires *before* the temp write, so an
+injected crash always leaves the previous checkpoint intact — the
+invariant the crash/resume matrix in ``tests/ingest/test_crawl.py`` kills
+its way through.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from repro.core.spool import write_sidecar
+from repro.core.spool import atomic_write, write_sidecar
 from repro.resilience import faults
 
 __all__ = ["CrawlState", "CrawlCursor"]
@@ -117,16 +115,6 @@ class CrawlCursor:
         faults.fire("ct.cursor.commit")
         payload = {"format": _FORMAT, **asdict(state)}
         body = (json.dumps(payload, indent=2) + "\n").encode()
-        tmp = self._path.with_suffix(".json.tmp")
-        with tmp.open("wb") as fh:
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path)
+        _, sha256 = atomic_write(self._path, [body])
         faults.corrupt_file("ct.cursor.commit", self._path)
-        write_sidecar(self._path, hashlib.sha256(body).hexdigest())
-        dir_fd = os.open(self._dir, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        write_sidecar(self._path, sha256)

@@ -40,6 +40,7 @@ from pathlib import Path
 
 from repro.core.spool import (
     SpoolError,
+    atomic_write,
     blob_sha256,
     read_blob,
     write_blob,
@@ -358,7 +359,7 @@ class _Repairer:
                 return True
             if path.exists():
                 self._quarantine(path)
-            candidate.replace(path)
+            atomic_write(path, [candidate.read_bytes()])
             self._did("rebuild", blob, detail)
             return True
         finally:

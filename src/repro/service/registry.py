@@ -16,11 +16,12 @@ Layout of one state directory::
       hits-000000.bin     batch 0's new hits as flat (i, j, prime) triples
       keys-000001.bin     ...
 
-Commit protocol (the order is the durability argument):
+Commit protocol (the order is the durability argument; every write is
+tmp + fsync + rename + directory fsync, via :func:`repro.core.spool.atomic_write`):
 
-1. ``keys-N.bin`` is written via tmp + rename + fsync (atomic);
+1. ``keys-N.bin`` is written;
 2. ``hits-N.bin`` likewise;
-3. ``manifest.json`` is rewritten (atomic) with both stage records appended.
+3. ``manifest.json`` is rewritten with both stage records appended.
 
 ``kill -9`` between any two steps leaves at worst stray unreferenced blob
 files with the *next* batch's names — the next commit simply overwrites
@@ -306,18 +307,10 @@ class WeakKeyRegistry:
             for gidx, e in (exponents or {}).items():
                 if e != DEFAULT_E:
                     self._exponents[gidx] = e
-            self._manifest.stages.append(
-                StageRecord(
-                    name=f"keys.{batch}", blob=keys_name, count=keys_info.count,
-                    nbytes=keys_info.nbytes, sha256=keys_info.sha256, seconds=seconds,
-                )
-            )
-            self._manifest.stages.append(
-                StageRecord(
-                    name=f"hits.{batch}", blob=hits_name, count=hits_info.count,
-                    nbytes=hits_info.nbytes, sha256=hits_info.sha256, seconds=0.0,
-                )
-            )
+            self._manifest.stages.extend((
+                StageRecord.from_blob(f"keys.{batch}", keys_info, seconds),
+                StageRecord.from_blob(f"hits.{batch}", hits_info),
+            ))
             self._manifest.config = self._config()
             self.retry_policy.run(
                 lambda: self.store.save(self._manifest), on_retry=self._on_commit_retry

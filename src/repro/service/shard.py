@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import sys
 import time
 from bisect import bisect_right
@@ -57,7 +56,7 @@ from pathlib import Path
 
 from repro.core.attack import WeakHit
 from repro.core.incremental import IncrementalScanner
-from repro.core.spool import write_sidecar
+from repro.core.spool import atomic_write, write_sidecar
 from repro.resilience import faults
 from repro.resilience.errors import FatalError, TransientError
 from repro.telemetry import Telemetry
@@ -177,33 +176,6 @@ def _batch_fingerprint(moduli: list[int]) -> str:
     return h.hexdigest()[:16]
 
 
-def _atomic_write_json(path: Path, payload: dict) -> str:
-    """tmp + fsync + rename, the spool's crash-safety discipline.
-
-    Returns the SHA-256 hex digest of the committed bytes, computed from
-    the in-memory payload (so a post-rename corruption cannot launder
-    itself into the checksum the caller records).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(payload).encode("utf-8")
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(body)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    digest = hashlib.sha256(body).hexdigest()
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
-        return digest
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-    return digest
-
-
 # ---------------------------------------------------------------------------
 # worker side (child process)
 # ---------------------------------------------------------------------------
@@ -265,7 +237,8 @@ class _ShardWorker:
             "job_hits": [list(h) for h in self.applied_hits],
             "job_pairs": self.applied_pairs,
         }
-        digest = _atomic_write_json(self.snapshot_path, payload)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        _, digest = atomic_write(self.snapshot_path, [json.dumps(payload).encode("utf-8")])
         faults.corrupt_file("shard.commit", self.snapshot_path)
         write_sidecar(self.snapshot_path, digest)
         self.persisted = True

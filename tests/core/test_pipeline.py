@@ -79,7 +79,7 @@ class TestPlan:
 class TestFullRun:
     def test_matches_oracle_and_ground_truth(self, corpus, oracle_hits, tmp_path):
         result = run_pipeline(
-            corpus.moduli, PipelineConfig(spool_dir=tmp_path, shard_size=5)
+            corpus.moduli, PipelineConfig(spool_dir=tmp_path)
         )
         assert _hit_triples(result) == oracle_hits
         assert result.hit_pairs == corpus.weak_pair_set()
@@ -106,12 +106,11 @@ class TestFullRun:
     def test_tiny_budget_forces_chunking(self, corpus, oracle_hits, tmp_path):
         result = run_pipeline(
             corpus.moduli,
-            PipelineConfig(spool_dir=tmp_path, shard_size=3, memory_budget=1),
+            PipelineConfig(spool_dir=tmp_path, memory_budget=1),
         )
         assert _hit_triples(result) == oracle_hits
         counters = result.metrics["counters"]
         assert counters["pipeline.chunks"] > len(ALL_STAGES)  # min chunk = 256 B
-        assert counters["pipeline.shards"] == 4
         assert counters["pipeline.bytes_spilled"] > 0
 
     def test_clean_corpus_has_no_hits(self, tmp_path):
@@ -140,13 +139,13 @@ class TestCrashResume:
     def test_resume_after_kill_matches_uninterrupted(
         self, corpus, oracle_hits, tmp_path, killed_at
     ):
-        config = PipelineConfig(spool_dir=tmp_path, shard_size=4)
+        config = PipelineConfig(spool_dir=tmp_path)
         with pytest.raises(_Kill):
             run_pipeline(corpus.moduli, config, _stage_hook=_kill_after(killed_at))
 
         resumed = run_pipeline(
             corpus.moduli,
-            PipelineConfig(spool_dir=tmp_path, shard_size=4, resume=True),
+            PipelineConfig(spool_dir=tmp_path, resume=True),
         )
         assert _hit_triples(resumed) == oracle_hits
         assert resumed.resumed
@@ -280,7 +279,7 @@ class TestCrashResume:
                 calls["n"] += 1
                 if calls["n"] == 1:
                     def gen():
-                        yield from real_moduli[:7]  # > one shard, then die
+                        yield from real_moduli[:7]  # partway, then die
                         raise OSError("transient read failure")
 
                     return gen()
@@ -288,13 +287,12 @@ class TestCrashResume:
 
         result = run_pipeline(
             FlakyMidway(),
-            PipelineConfig(spool_dir=tmp_path, shard_size=4, retries=1),
+            PipelineConfig(spool_dir=tmp_path, retries=1),
         )
         counters = result.metrics["counters"]
         assert counters["pipeline.stage_retries"] == 1
         # only the successful attempt's records are counted
         assert counters["pipeline.moduli"] == 12
-        assert counters["pipeline.shards"] == 3
 
 
 class TestTelemetry:

@@ -34,7 +34,6 @@ def corpus():
 def _run(corpus, spool_dir, *, workers=0, telemetry=None, **overrides):
     config = PipelineConfig(
         spool_dir=spool_dir,
-        shard_size=8,
         memory_budget=2048,
         workers=workers,
         **overrides,

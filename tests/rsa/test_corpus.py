@@ -8,7 +8,6 @@ import pytest
 from repro.rsa.corpus import (
     WeakCorpus,
     generate_weak_corpus,
-    shard_moduli,
     stream_moduli,
     write_moduli_text,
 )
@@ -152,14 +151,6 @@ class TestStreaming:
         path.write_text("33\n")
         with pytest.raises(ValueError, match="unknown modulus source format"):
             stream_moduli(path, format="csv")
-
-    def test_shard_moduli_sizes(self):
-        shards = list(shard_moduli(iter(range(7)), 3))
-        assert shards == [[0, 1, 2], [3, 4, 5], [6]]
-
-    def test_shard_size_validated(self):
-        with pytest.raises(ValueError):
-            list(shard_moduli([1, 2], 0))
 
 
 class TestHexlines:

@@ -303,7 +303,7 @@ class TestBatchscan:
     def test_corpus_against_ground_truth(self, corpus_path, tmp_path, capsys):
         rc = main(
             ["batchscan", "--corpus", str(corpus_path),
-             "--spool-dir", str(tmp_path / "spool"), "--shard-size", "6"]
+             "--spool-dir", str(tmp_path / "spool")]
         )
         out = capsys.readouterr().out
         assert rc == 0
