@@ -14,6 +14,11 @@ in ``O(m · polylog)`` big-integer time instead of ``O(m²)`` GCDs:
 3. then ``(N/n_i) mod n_i = (N mod n_i²) / n_i`` (exact division), and one
    final GCD per modulus.
 
+The in-memory tree here, the ``batchscan`` stages (:mod:`repro.core.pipeline`)
+and the incremental forest (:mod:`repro.core.ptree`) share one shape rule,
+:func:`level_sizes`, and three level steps; a step applied to a slice of a
+level cut between sibling pairs yields the matching slice of its result.
+
 All big-integer arithmetic routes through a pluggable backend
 (:mod:`repro.util.intops`): plain Python ints by default, GMP via gmpy2
 when installed (``pip install -e .[fast]``).  Tree nodes stay
@@ -33,7 +38,61 @@ from contextlib import nullcontext
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
-__all__ = ["product_tree", "remainder_tree", "batch_gcd"]
+__all__ = ["level_sizes", "product_level", "remainder_level", "root_remainders",
+           "product_tree", "remainder_tree", "batch_gcd"]
+
+
+def level_sizes(n_leaves: int) -> list[int]:
+    """Node counts per tree level, leaves first (odd levels carry one up).
+
+    >>> level_sizes(5)
+    [5, 3, 2, 1]
+    """
+    if n_leaves < 1:
+        raise ValueError("need at least one modulus")
+    sizes = [n_leaves]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    return sizes
+
+
+def product_level(nodes: list, B: IntBackend) -> list:
+    """One level up: siblings ``2k`` and ``2k+1`` multiply into parent
+    ``k``; an odd level's last node is carried up unmultiplied.
+
+    >>> product_level([3, 5, 7], resolve_backend("python"))
+    [15, 7]
+    """
+    mul = B.mul
+    out = [mul(nodes[k], nodes[k + 1]) for k in range(0, len(nodes) - 1, 2)]
+    if len(nodes) % 2:
+        out.append(nodes[-1])
+    return out
+
+
+def remainder_level(parents: list, nodes: list, B: IntBackend, *, square=True) -> list:
+    """One level down: child ``k`` reduces ``parents[k // 2]`` by its node
+    squared (or, with ``square=False``, by the node itself).
+
+    >>> remainder_level([1000], [7, 11], resolve_backend("python"))
+    [20, 32]
+    """
+    mod, sqr = B.mod, B.sqr
+    return [mod(parents[k // 2], sqr(n) if square else n) for k, n in enumerate(nodes)]
+
+
+def root_remainders(children: list, B: IntBackend) -> list:
+    """The squared descent's first level, from the root's two children alone.
+
+    The root is ``N = a·b``, so ``N mod a² = a·(b mod a)`` (and likewise
+    for ``b``): a half-size ``mod`` and ``mul`` reusing the sibling, in
+    place of squaring the child and reducing the full root by it.
+
+    >>> root_remainders([15, 7], resolve_backend("python"))  # 105 mod {225, 49}
+    [105, 7]
+    """
+    a, b = children
+    return [B.mul(a, B.mod(b, a)), B.mul(b, B.mod(a, b))]
 
 
 def product_tree(
@@ -47,10 +106,10 @@ def product_tree(
     """Bottom-up product tree: ``levels[0]`` is the input, the last level
     holds the single total product.
 
-    Odd-length levels carry their last element up unmultiplied.  With
-    ``telemetry``, each level's build time lands in the
-    ``batch.product_level_seconds`` histogram — the tree's upper levels
-    multiply ever-larger integers, and that skew is exactly what the
+    Each level is one :func:`product_level` step.  With ``telemetry``, the
+    gauge ``batch.levels`` records the tree's height and each level's build
+    time lands in the ``batch.product_level_seconds`` histogram — the upper
+    levels multiply ever-larger integers, and that skew is exactly what the
     all-pairs-vs-batch trade-off hinges on.
 
     ``keep_levels=False`` is the root-only path: each level is dropped as
@@ -78,18 +137,14 @@ def product_tree(
     if not values:
         raise ValueError("product tree needs at least one value")
     B = resolve_backend(backend)
-    mul, from_int = B.mul, B.from_int
     clock = telemetry.timer.clock if telemetry else None
-    levels = [[from_int(v) for v in values]]
+    levels = [[B.from_int(v) for v in values]]
     retained = len(levels[0])
     peak = retained
     while len(levels[-1]) > 1:
         t0 = clock() if clock else 0.0
-        prev = levels[-1]
-        nxt = [mul(prev[k], prev[k + 1]) for k in range(0, len(prev) - 1, 2)]
-        if len(prev) % 2:
-            nxt.append(prev[-1])
-        peak = max(peak, retained + len(nxt))  # prev still referenced here
+        nxt = product_level(levels[-1], B)
+        peak = max(peak, retained + len(nxt))  # the child level is still referenced here
         if keep_levels:
             levels.append(nxt)
             retained += len(nxt)
@@ -102,7 +157,7 @@ def product_tree(
             )
             telemetry.advance(1)
     if telemetry is not None:
-        telemetry.registry.gauge("batch.levels").set(len(levels))
+        telemetry.registry.gauge("batch.levels").set(len(level_sizes(len(values))))
         telemetry.registry.gauge("batch.peak_retained_nodes").max_of(peak)
     if native:
         return levels
@@ -128,39 +183,25 @@ def remainder_tree(
     backend-native nodes (a native tree from ``product_tree(...,
     native=True)`` descends without any conversion).
 
-    The first descent step is special-cased: the root's children ``a, b``
-    satisfy ``N = a·b``, so ``N mod a² = a·(b mod a)`` — one half-size
-    ``mod`` and one half-size ``mul`` reusing the already-computed sibling
-    from the kept product-tree level, instead of squaring the child and
-    reducing the full product by it (the single most expensive operation
-    of the naive descent).  Deeper levels cannot use the identity (their
-    parent value is already a reduced remainder, not a multiple of the
-    child), so they square via the backend's ``sqr``.
+    The squared descent starts with :func:`root_remainders`, which needs
+    only the root's two children; every deeper level (whose parent value
+    is already a reduced remainder, not a multiple of the child) is one
+    :func:`remainder_level` step.
 
     >>> remainder_tree(product_tree([3, 5, 7]))  # 105 mod {9, 25, 49}
     [6, 5, 7]
     """
     B = resolve_backend(backend)
-    mul, sqr, mod, from_int = B.mul, B.sqr, B.mod, B.from_int
+    from_int = B.from_int
     clock = telemetry.timer.clock if telemetry else None
     rems = [from_int(levels[-1][0])]
-    at_root = True
-    for level in reversed(levels[:-1]):
+    for depth, level in enumerate(reversed(levels[:-1])):
         t0 = clock() if clock else 0.0
-        if square and at_root and len(level) == 2:
-            # N = a·b  ⇒  N mod a² = a·(b mod a), and symmetrically for b:
-            # the sibling product from the tree replaces square-and-reduce
-            a, b = from_int(level[0]), from_int(level[1])
-            nxt = [mul(a, mod(b, a)), mul(b, mod(a, b))]
+        nodes = [from_int(v) for v in level]
+        if square and depth == 0:
+            rems = root_remainders(nodes, B)
         else:
-            nxt = []
-            for k, value in enumerate(level):
-                parent = rems[k // 2]
-                value = from_int(value)
-                m = sqr(value) if square else value
-                nxt.append(mod(parent, m))
-        rems = nxt
-        at_root = False
+            rems = remainder_level(rems, nodes, B, square=square)
         if telemetry is not None:
             telemetry.registry.histogram("batch.remainder_level_seconds").observe(
                 clock() - t0

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.bulk.engine import BulkGcdEngine
 from repro.core.attack import AttackReport, WeakHit
+from repro.core.batch_gcd import product_level, remainder_level
 from repro.core.pairing import all_pair_count, block_schedule
 from repro.resilience.supervisor import supervised_map
 from repro.telemetry import MetricsRegistry, StageTimer, Telemetry
@@ -227,35 +228,27 @@ def find_shared_primes_parallel(
 # the worker — blob readers already hand the chunks over backend-native.
 
 
-def product_chunk(
-    groups: Sequence[tuple[int, ...]], backend: str = "python"
-) -> list[int]:
-    """One product-tree work unit: multiply each tuple of siblings.
+def product_chunk(nodes: Sequence[int], backend: str = "python") -> list[int]:
+    """One product-tree work unit: whole sibling pairs of a level (plus its
+    carried node, if the chunk ends an odd level), one
+    :func:`~repro.core.batch_gcd.product_level` step up.
 
-    A one-element tuple is an odd level's carried node and passes through
-    unchanged (the product of a singleton).
-
-    >>> product_chunk([(3, 5), (7,)])
+    >>> product_chunk([3, 5, 7])
     [15, 7]
     """
-    prod = resolve_backend(backend).prod
-    return [prod(group) for group in groups]
+    return product_level(nodes, resolve_backend(backend))
 
 
-def remainder_chunk(
-    items: Sequence[tuple[int, int]], backend: str = "python"
-) -> list[int]:
-    """One remainder-tree work unit: ``parent mod value²`` per child.
+def remainder_chunk(chunk: tuple[Sequence, Sequence], backend: str = "python") -> list[int]:
+    """One remainder-tree work unit: ``(parents, nodes)``, nodes cut as in
+    :func:`product_chunk` with their parents' remainders, one squared
+    :func:`~repro.core.batch_gcd.remainder_level` step down.
 
-    ``items`` holds ``(parent_remainder, node_value)`` pairs; the squared
-    modulus is what lets the cofactor survive down to the leaves.
-
-    >>> remainder_chunk([(1000, 7), (1000, 11)])
+    >>> remainder_chunk(([1000], [7, 11]))  # 1000 mod {49, 121}
     [20, 32]
     """
-    B = resolve_backend(backend)
-    sqr, mod = B.sqr, B.mod
-    return [mod(parent, sqr(value)) for parent, value in items]
+    parents, nodes = chunk
+    return remainder_level(parents, nodes, resolve_backend(backend))
 
 
 def leaf_gcd_chunk(

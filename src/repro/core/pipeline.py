@@ -11,14 +11,16 @@ working set and commits its output to a checkpoint manifest
 ========================  ====================================================
 ``ingest``                moduli stream → validated ``product-000.bin``
 ``product.k`` (k=1…L)     level ``k−1`` blob → pairwise products, level ``k``
-``remainder.k`` (k=L−1…0) parent remainders + level ``k`` values →
-                          ``N mod value²`` per node
+``remainder.k`` (k=L−1…0) level ``k+1`` remainders + level ``k`` values →
+                          ``N mod value²`` per node (``k=L−1`` reads only
+                          the root's two children)
 ``leaf``                  leaf remainders → one GCD per modulus (``gcds.bin``)
 ``pairing``               flagged moduli → explicit weak pairs (``hits.json``)
 ========================  ====================================================
 
-Memory is governed by an explicit byte budget: stages cut their streams
-into chunks whose on-disk size fits the budget, and
+The tree arithmetic is :mod:`repro.core.batch_gcd`'s level steps.  Memory
+is governed by an explicit byte budget: stages cut their streams into
+chunks whose on-disk size fits the budget (never inside a sibling pair), and
 :func:`repro.core.parallel.run_chunked` keeps only a bounded window of
 chunks in flight across the ``ProcessPoolExecutor``.  A killed run resumes
 from the last committed stage (``resume=True``); corrupted blobs or an
@@ -31,11 +33,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.core.attack import WeakHit, group_batch_hits
-from repro.core.batch_gcd import product_tree
+from repro.core.batch_gcd import level_sizes, product_tree, root_remainders
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.parallel import leaf_gcd_chunk, product_chunk, remainder_chunk, run_chunked
 from repro.core.spool import (
@@ -148,21 +151,6 @@ class PipelineResult:
         return {(h.i, h.j) for h in self.hits}
 
 
-def level_sizes(n_moduli: int) -> list[int]:
-    """Node counts per tree level, leaves first (odd levels carry one up).
-
-    >>> level_sizes(5)
-    [5, 3, 2, 1]
-    """
-    if n_moduli < 1:
-        raise ValueError("need at least one modulus")
-    sizes = [n_moduli]
-    while sizes[-1] > 1:
-        s = sizes[-1]
-        sizes.append(s // 2 + (s & 1))
-    return sizes
-
-
 def stage_plan(n_moduli: int) -> list[tuple[str, str]]:
     """The ordered ``(stage name, blob file)`` plan for ``n_moduli`` keys.
 
@@ -191,15 +179,16 @@ def stage_plan(n_moduli: int) -> list[tuple[str, str]]:
 
 
 def _chunks_by_bytes(
-    records: Iterator[tuple], chunk_bytes: int, nbytes_of: Callable[[tuple], int]
+    records: Iterator, chunk_bytes: int, nbytes_of: Callable, *, whole_pairs: bool = False
 ) -> Iterator[list]:
-    """Greedy byte-budgeted chunking: cut when the next record would overflow."""
+    """Greedy byte-budgeted chunking: cut once a chunk reaches the budget
+    (with ``whole_pairs``, only after an even count: never inside a sibling pair)."""
     chunk: list = []
     size = 0
     for record in records:
         chunk.append(record)
         size += nbytes_of(record)
-        if size >= chunk_bytes:
+        if size >= chunk_bytes and not (whole_pairs and len(chunk) % 2):
             yield chunk
             chunk = []
             size = 0
@@ -232,43 +221,40 @@ def _ingest_stage(
 def _product_stage(
     src: Path, dst: Path, config: PipelineConfig, tel: Telemetry, B: IntBackend
 ) -> BlobInfo:
-    def groups() -> Iterator[tuple[int, ...]]:
-        it = iter_blob(src, backend=B)
-        for a in it:
-            b = next(it, None)
-            yield (a,) if b is None else (a, b)
-
     chunks = _chunks_by_bytes(
-        groups(), config.chunk_bytes(), lambda g: sum(record_nbytes(v) for v in g)
+        iter_blob(src, backend=B), config.chunk_bytes(), record_nbytes, whole_pairs=True
     )
     return _write_chunked(partial(product_chunk, backend=B.name), chunks, dst, config, tel)
 
 
 def _remainder_stage(
-    parent_blob: Path,
+    parent_blob: Path | None,
     value_blob: Path,
     dst: Path,
     config: PipelineConfig,
     tel: Telemetry,
     B: IntBackend,
 ) -> BlobInfo:
-    def items() -> Iterator[tuple[int, int]]:
-        parents = iter_blob(parent_blob, backend=B)
-        parent = next(parents)
-        parent_idx = 0
-        for child_idx, value in enumerate(iter_blob(value_blob, backend=B)):
-            while child_idx // 2 > parent_idx:
-                parent = next(parents)
-                parent_idx += 1
-            yield parent, value
+    """One descent level; ``parent_blob=None`` is the root's two children,
+    reduced from each other alone (:func:`root_remainders`)."""
+    if parent_blob is None:
+        return write_blob(dst, root_remainders(list(iter_blob(value_blob, backend=B)), B))
 
-    chunks = _chunks_by_bytes(
-        items(),
-        config.chunk_bytes(),
-        lambda item: record_nbytes(item[0]) + record_nbytes(item[1]),
-    )
+    def chunks() -> Iterator[tuple[list, list]]:
+        # a node weighs itself plus its parent remainder (below the pair's
+        # product squared, so about four nodes): the per-node cost it had
+        # when every node travelled with its own copy of the parent
+        parents = iter_blob(parent_blob, backend=B)
+        for nodes in _chunks_by_bytes(
+            iter_blob(value_blob, backend=B),
+            config.chunk_bytes(),
+            lambda node: 5 * record_nbytes(node),
+            whole_pairs=True,
+        ):
+            yield list(islice(parents, (len(nodes) + 1) // 2)), nodes  # one per pair
+
     return _write_chunked(
-        partial(remainder_chunk, backend=B.name), chunks, dst, config, tel
+        partial(remainder_chunk, backend=B.name), chunks(), dst, config, tel
     )
 
 
@@ -450,6 +436,9 @@ def run_pipeline(
             else:
                 stage_fn = _stage_body(name, spool_dir, dst, top, config, tel, B)
                 info, seconds = _attempt(name, stage_fn, config, tel)
+                kind = name.partition(".")[0]
+                if kind in ("product", "remainder"):
+                    reg.histogram(f"pipeline.{kind}_level_seconds").observe(seconds)
                 _check_count(name, info, sizes, n)
             _commit(store, manifest, name, info, seconds, config, tel)
             result.stages_run.append(name)
@@ -484,26 +473,13 @@ def _stage_body(
 ) -> Callable[[], BlobInfo]:
     kind, _, level = name.partition(".")
     if kind == "product":
-        k = int(level)
-        src = spool_dir / f"product-{k - 1:03d}.bin"
-        return lambda: _observed(
-            "pipeline.product_level_seconds",
-            lambda: _product_stage(src, dst, config, tel, B),
-            tel,
-        )
+        src = spool_dir / f"product-{int(level) - 1:03d}.bin"
+        return lambda: _product_stage(src, dst, config, tel, B)
     if kind == "remainder":
         k = int(level)
-        parent = (
-            spool_dir / f"product-{top:03d}.bin"
-            if k == top - 1
-            else spool_dir / f"remainder-{k + 1:03d}.bin"
-        )
+        parent = None if k == top - 1 else spool_dir / f"remainder-{k + 1:03d}.bin"
         values = spool_dir / f"product-{k:03d}.bin"
-        return lambda: _observed(
-            "pipeline.remainder_level_seconds",
-            lambda: _remainder_stage(parent, values, dst, config, tel, B),
-            tel,
-        )
+        return lambda: _remainder_stage(parent, values, dst, config, tel, B)
     if kind == "leaf":
         return lambda: _leaf_stage(
             spool_dir / "product-000.bin",
@@ -514,13 +490,6 @@ def _stage_body(
             B,
         )
     raise ValueError(f"unknown stage {name!r}")
-
-
-def _observed(histogram: str, fn: Callable[[], BlobInfo], tel: Telemetry) -> BlobInfo:
-    t0 = tel.timer.clock()
-    info = fn()
-    tel.registry.histogram(histogram).observe(tel.timer.clock() - t0)
-    return info
 
 
 def _check_count(name: str, info: BlobInfo, sizes: list[int], n: int) -> None:

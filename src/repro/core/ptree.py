@@ -38,13 +38,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core.batch_gcd import level_sizes, product_level, remainder_level
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.spool import SpoolError, read_blob, write_blob
 from repro.resilience import RetryPolicy, faults
 from repro.telemetry import Telemetry
 from repro.util.intops import IntBackend, resolve_backend
 
-__all__ = ["PersistentProductTree", "PTREE_FORMAT"]
+__all__ = ["PersistentProductTree", "PTREE_FORMAT", "parse_segment"]
 
 PTREE_FORMAT = "product-tree/1"
 
@@ -82,33 +83,35 @@ class _Segment:
 
     def nodes(self) -> list:
         """Every node, bottom-up level order — the blob serialisation."""
-        out: list = []
-        for level in self.levels:
-            out.extend(level)
-        return out
-
-    @classmethod
-    def from_nodes(cls, start: int, nodes: list) -> "_Segment":
-        """Rebuild from a blob payload; raises ``ValueError`` on a bad shape."""
-        levels: list[list] = []
-        width = (len(nodes) + 1) // 2
-        if width & (width - 1) or not nodes:
-            raise ValueError(f"segment blob holds {len(nodes)} nodes, not 2s-1")
-        pos = 0
-        while width >= 1:
-            levels.append(nodes[pos : pos + width])
-            pos += width
-            width //= 2
-        if pos != len(nodes):
-            raise ValueError("segment blob node count does not form a perfect tree")
-        return cls(start, levels)
+        return [node for level in self.levels for node in level]
 
 
-def _merge(a: _Segment, b: _Segment, mul) -> _Segment:
+def parse_segment(name: str, nodes: list) -> _Segment:
+    """Segment ``seg.<start>.<height>`` from its blob's nodes (``ValueError`` if bad).
+
+    >>> parse_segment("seg.4.1", [3, 5, 15]).levels
+    [[3, 5], [15]]
+    """
+    kind, start, _ = name.split(".")
+    width = (len(nodes) + 1) // 2  # a perfect tree over w leaves has 2w−1 nodes
+    if kind != "seg" or not nodes or width & (width - 1):
+        raise ValueError(f"segment blob holds {len(nodes)} nodes, not 2s-1")
+    levels: list[list] = []
+    pos = 0
+    for size in level_sizes(width):
+        levels.append(nodes[pos : pos + size])
+        pos += size
+    seg = _Segment(int(start), levels)
+    if pos != len(nodes) or seg.stage_name() != name:
+        raise ValueError(f"segment blob of {len(nodes)} nodes does not match {name!r}")
+    return seg
+
+
+def _merge(a: _Segment, b: _Segment, B: IntBackend) -> _Segment:
     """Merge two adjacent equal-sized segments: one multiplication, all
     child nodes reused by reference."""
     levels = [a.levels[i] + b.levels[i] for i in range(len(a.levels))]
-    levels.append([mul(a.root, b.root)])
+    levels.append(product_level([a.root, b.root], B))
     return _Segment(a.start, levels)
 
 
@@ -168,13 +171,12 @@ class PersistentProductTree:
         once per leaf.
         """
         B = self.backend
-        mod, from_int = B.mod, B.from_int
-        value = from_int(value)
+        value = B.from_int(value)
         out: list = []
         for seg in self.segments:
-            rems = [mod(value, seg.root)]
+            rems = [B.mod(value, seg.root)]
             for level in reversed(seg.levels[:-1]):
-                rems = [mod(rems[k // 2], node) for k, node in enumerate(level)]
+                rems = remainder_level(rems, level, B, square=False)
             out.extend(rems)
         return out
 
@@ -185,10 +187,9 @@ class PersistentProductTree:
         if not values:
             return
         B = self.backend
-        mul, from_int = B.mul, B.from_int
         merges = 0
         for v in values:
-            self.segments.append(_Segment(self.n_leaves, [[from_int(v)]]))
+            self.segments.append(_Segment(self.n_leaves, [[B.from_int(v)]]))
             self.n_leaves += 1
             while (
                 len(self.segments) >= 2
@@ -196,7 +197,7 @@ class PersistentProductTree:
             ):
                 b = self.segments.pop()
                 a = self.segments.pop()
-                self.segments.append(_merge(a, b, mul))
+                self.segments.append(_merge(a, b, B))
                 merges += 1
         if self.telemetry is not None:
             reg = self.telemetry.registry
@@ -309,10 +310,10 @@ class PersistentProductTree:
                 return False
             try:
                 nodes = read_blob(self.spool_dir / record.blob)
-                seg = _Segment.from_nodes(start, [from_int(v) for v in nodes])
+                seg = parse_segment(record.name, [from_int(v) for v in nodes])
             except (OSError, SpoolError, ValueError):
                 return False
-            if record.name != seg.stage_name() or record.blob != seg.blob_name():
+            if seg.start != start or record.blob != seg.blob_name():
                 return False
             if segments and seg.size >= segments[-1].size:
                 return False  # not a binary-counter forest

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.checkpoint import MANIFEST_VERSION
+from repro.core.ptree import PTREE_FORMAT
 from repro.core.spool import MAGIC, blob_sha256, read_sidecar
 
 # Mirrors repro.ingest.dedup.DIGEST_SIZE; importing it here would cycle
@@ -85,7 +86,6 @@ _SEVERITY = {
 }
 
 REGISTRY_FORMAT = "weak-key-registry/1"
-PTREE_FORMAT = "product-tree/1"
 SHARD_FORMAT = "repro.shard-snapshot/1"
 CURSOR_FORMAT = "repro-ct-cursor-v1"
 

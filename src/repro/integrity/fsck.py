@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.ptree import PersistentProductTree, parse_segment
 from repro.core.spool import (
     SpoolError,
     atomic_write,
@@ -255,17 +256,12 @@ class _Repairer:
             try:
                 payload = json.loads(manifest.read_bytes())
                 for record in payload.get("stages", []):
-                    name = str(record.get("name", ""))
-                    if not name.startswith("seg."):
-                        continue
-                    _, start, _height = name.split(".")
                     path = ptree_dir / str(record["blob"])
                     if blob_sha256(path) != record.get("sha256"):
                         continue
-                    nodes = read_blob(path)
-                    n_leaves = (len(nodes) + 1) // 2
-                    for offset, n in enumerate(nodes[:n_leaves]):
-                        out[int(start) + offset] = n
+                    seg = parse_segment(str(record.get("name", "")), read_blob(path))
+                    for offset, n in enumerate(seg.levels[0]):
+                        out[seg.start + offset] = n
             except (OSError, ValueError, SpoolError, KeyError):
                 pass
         # shard snapshots: each owns (indices, moduli) for its slice
@@ -392,8 +388,6 @@ class _Repairer:
             if item.is_file():
                 self._quarantine(item)
         # regrow from registry truth — the tree is derived data
-        from repro.core.ptree import PersistentProductTree
-
         tree = PersistentProductTree(spool_dir=ptree_dir)
         ordered = [moduli[g] for g in sorted(moduli)]
         tree.append(ordered)

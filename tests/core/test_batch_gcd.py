@@ -31,6 +31,10 @@ class TestProductTree:
     def test_keep_levels_false_returns_root_only(self):
         values = [3, 5, 7, 11]
         assert product_tree(values, keep_levels=False) == [[3 * 5 * 7 * 11]]
+        # the level gauge reports the tree's height, not the retained levels
+        tel = Telemetry.create()
+        product_tree([3, 5, 7, 11, 13], keep_levels=False, telemetry=tel)
+        assert tel.registry.gauge("batch.levels").value == 4
 
     @given(st.lists(st.integers(min_value=1, max_value=1 << 32), min_size=1, max_size=25))
     @settings(max_examples=50)

@@ -65,10 +65,10 @@ class TestParallelBackend:
 
 class TestChunkFunctions:
     def test_product_chunk_pairs_and_singleton(self):
-        assert product_chunk([(3, 5), (7,)]) == [15, 7]
+        assert product_chunk([3, 5, 7]) == [15, 7]
 
     def test_remainder_chunk_mod_square(self):
-        assert remainder_chunk([(1000, 7), (1000, 11)]) == [1000 % 49, 1000 % 121]
+        assert remainder_chunk(([1000], [7, 11])) == [1000 % 49, 1000 % 121]
 
     def test_leaf_gcd_chunk_recovers_shared_prime(self):
         moduli = [7 * 11, 7 * 13, 17 * 19]
