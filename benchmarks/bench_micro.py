@@ -10,6 +10,11 @@ of as a vague end-to-end slowdown:
   remainders, in operations/second;
 * ``remainder_tree`` — one full remainder-tree descent over a prebuilt
   product tree (the dominant cost of a batch scan), in keys/second;
+* ``ptree_flush``    — one incremental flush at real key size: the
+  2048-bit product of a ``k``-key batch reduced down an ``m``-key
+  :class:`~repro.core.ptree.PersistentProductTree`
+  (``batch_remainders``), in batch keys/second, its flagged leaves
+  checked against a per-leaf ``math.gcd`` brute force;
 * ``parse``          — decoding a bulk ``POST /submit`` body: the JSON
   path (``json.loads`` + ``parse_submission``) against the ``RGWIRE1``
   binary path (:func:`repro.service.wire.decode_moduli`), same moduli,
@@ -40,6 +45,7 @@ import argparse
 import asyncio
 import hashlib
 import json
+import math
 import os
 import platform
 import random
@@ -50,6 +56,7 @@ import time
 from pathlib import Path
 
 from repro.core.batch_gcd import product_tree, remainder_tree
+from repro.core.ptree import PersistentProductTree
 from repro.service import wire
 from repro.service.http import (
     HttpServer,
@@ -66,12 +73,16 @@ FULL_TREE_KEYS, FULL_TREE_BITS = 768, 512
 QUICK_PARSE_KEYS, QUICK_PARSE_BITS = 1500, 1024
 FULL_PARSE_KEYS, FULL_PARSE_BITS = 4000, 2048
 QUICK_SUBMIT_KEYS, FULL_SUBMIT_KEYS = 120, 400
+#: (tree keys m, batch keys k) of the ptree_flush section, at FLUSH_BITS
+QUICK_FLUSH, FULL_FLUSH = (1024, 64), (4096, 256)
+FLUSH_BITS = 2048
 SUBMIT_BITS = 64
 
 #: (flag/env suffix, path into the sections doc) for every optional floor
 FLOORS = (
     ("leaf_ops", ("leaf_gcd", "ops_per_second")),
     ("remtree_keys", ("remainder_tree", "keys_per_second")),
+    ("flush_keys", ("ptree_flush", "keys_per_second")),
     ("parse_keys", ("parse", "json", "keys_per_second")),
     ("wire_keys", ("parse", "wire", "keys_per_second")),
     ("wire_speedup", ("parse", "speedup")),
@@ -139,6 +150,59 @@ def bench_remainder_tree(backend, moduli: list[int], bits: int, repeat: int) -> 
         "bits": bits,
         "seconds": round(seconds, 6),
         "keys_per_second": round(len(moduli) / seconds, 1),
+    }
+
+
+def flush_moduli(m: int, k: int, bits: int, seed: str) -> tuple[list[int], list[int]]:
+    """``m`` tree and ``k`` batch semiprime-shaped ``bits``-bit values.
+
+    Halves carry no prime factor below 2^12, so shared factors are rare
+    (about 2% of tree values share one with the full run's batch, which
+    the brute force flags too); every 16th batch value reuses the first
+    half of a tree value, so the flush flags known leaves.
+    """
+    rng = random.Random((seed, m, k, bits).__repr__())
+    half = bits // 2
+    sieve = bytearray([1]) * (1 << 12)
+    for p in range(3, 1 << 6, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = bytes(len(sieve[p * p :: 2 * p]))
+    small_primes = math.prod(p for p in range(3, 1 << 12, 2) if sieve[p])
+
+    def rough():
+        while True:
+            p = rng.getrandbits(half) | 0b11 << (half - 2) | 1
+            if math.gcd(p, small_primes) == 1:
+                return p
+
+    pairs = [(rough(), rough()) for _ in range(m)]
+    tree = [p * q for p, q in pairs]
+    batch = [
+        (pairs[rng.randrange(m)][0] if i % 16 == 15 else rough()) * rough()
+        for i in range(k)
+    ]
+    return tree, batch
+
+
+def bench_ptree_flush(backend, tree_moduli: list[int], batch: list[int], repeat: int) -> dict:
+    """Time one ``batch_remainders`` of the batch product down the tree."""
+    tree = PersistentProductTree(backend=backend)
+    tree.append(tree_moduli)
+    value = math.prod(batch)
+    seconds, rems = _best_of(lambda: tree.batch_remainders(value), repeat)
+    flagged = [
+        i for i, (n, r) in enumerate(zip(tree_moduli, rems))
+        if math.gcd(n, backend.to_int(r)) > 1
+    ]
+    brute = [i for i, n in enumerate(tree_moduli) if math.gcd(n, value) > 1]
+    return {
+        "tree_keys": len(tree_moduli),
+        "batch_keys": len(batch),
+        "bits": FLUSH_BITS,
+        "seconds": round(seconds, 6),
+        "keys_per_second": round(len(batch) / seconds, 1),
+        "flagged": len(flagged),
+        "flagged_parity": flagged == brute,
     }
 
 
@@ -364,6 +428,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"  remainder_tree  {sections['remainder_tree']['keys_per_second']:>12.1f} keys/s",
           file=sys.stderr)
+    flush_m, flush_k = QUICK_FLUSH if args.quick else FULL_FLUSH
+    sections["ptree_flush"] = bench_ptree_flush(
+        backend, *flush_moduli(flush_m, flush_k, FLUSH_BITS, args.seed + "-flush"), repeat
+    )
+    pf = sections["ptree_flush"]
+    print(f"  ptree_flush     {pf['keys_per_second']:>12.1f} keys/s"
+          f"  ({flush_k} into {flush_m} x {FLUSH_BITS}-bit, {pf['flagged']} flagged)",
+          file=sys.stderr)
     sections["parse"] = bench_parse(backend, parse_moduli, parse_bits, repeat)
     pj, pw = sections["parse"]["json"], sections["parse"]["wire"]
     print(f"  parse json      {pj['keys_per_second']:>12.1f} keys/s"
@@ -391,12 +463,13 @@ def main(argv: list[str] | None = None) -> int:
                     "metric": ".".join(path), "floor": floor,
                     "measured": measured,
                 })
-    if not sections["submit"]["hit_digest_parity"]:
-        failures.append({
-            "metric": "submit.hit_digest_parity",
-            "floor": True,
-            "measured": False,
-        })
+    for section, check in (("submit", "hit_digest_parity"), ("ptree_flush", "flagged_parity")):
+        if not sections[section][check]:
+            failures.append({
+                "metric": f"{section}.{check}",
+                "floor": True,
+                "measured": False,
+            })
 
     doc = {
         "schema": SCHEMA,
@@ -405,7 +478,8 @@ def main(argv: list[str] | None = None) -> int:
             "quick": args.quick, "int_backend": backend.name,
             "tree_keys": tree_keys, "tree_bits": tree_bits,
             "parse_keys": parse_keys, "parse_bits": parse_bits,
-            "submit_keys": submit_keys, "repeat": repeat, "seed": args.seed,
+            "submit_keys": submit_keys, "flush_tree_keys": flush_m,
+            "flush_batch_keys": flush_k, "repeat": repeat, "seed": args.seed,
         },
         "environment": {
             "python": platform.python_version(),
@@ -447,6 +521,8 @@ def test_bench_micro_quick(tmp_path, report):
     s = doc["sections"]
     assert s["leaf_gcd"]["ops_per_second"] > 0
     assert s["remainder_tree"]["keys_per_second"] > 0
+    assert s["ptree_flush"]["flagged_parity"] is True
+    assert s["ptree_flush"]["flagged"] >= QUICK_FLUSH[1] // 16
     # binary decoding must beat hex-in-JSON, and by a wide margin
     assert s["parse"]["speedup"] > 1.0
     assert s["parse"]["wire"]["body_bytes"] < s["parse"]["json"]["body_bytes"]

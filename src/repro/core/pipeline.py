@@ -42,6 +42,7 @@ from repro.core.batch_gcd import level_sizes, product_tree, root_remainders
 from repro.core.checkpoint import CheckpointStore, Manifest, StageRecord
 from repro.core.parallel import leaf_gcd_chunk, product_chunk, remainder_chunk, run_chunked
 from repro.core.spool import (
+    MAGIC,
     BlobInfo,
     atomic_write,
     iter_blob,
@@ -113,17 +114,26 @@ class PipelineConfig:
             deadline=self.stage_deadline,
         )
 
-    def chunk_bytes(self) -> int:
+    def chunk_bytes(self, level_bytes: int | None = None) -> int:
         """Per-chunk byte target: budget spread over the in-flight window.
 
         ``run_chunked`` keeps up to ``workers + 2`` chunks submitted plus
         one being assembled and one result in hand — call it four windows
         of ``max(workers, 1)`` — so each chunk gets ``budget / (4·W)``.
+        With ``workers ≥ 2``, a stage passes its source level's weighted
+        ``level_bytes`` and the target is capped at a ``1/W`` share of
+        it, so a level smaller than one budget chunk still reaches every
+        worker.
 
         >>> PipelineConfig(spool_dir="x", memory_budget=1 << 20, workers=4).chunk_bytes()
         65536
+        >>> PipelineConfig(spool_dir="x", workers=2).chunk_bytes(level_bytes=6000)
+        3000
         """
-        return max(256, self.memory_budget // (4 * max(self.workers, 1)))
+        target = max(256, self.memory_budget // (4 * max(self.workers, 1)))
+        if level_bytes is None or self.workers <= 1:
+            return target
+        return max(256, min(target, level_bytes // self.workers))
 
 
 @dataclass
@@ -196,6 +206,11 @@ def _chunks_by_bytes(
         yield chunk
 
 
+def _level_bytes(blob: Path) -> int:
+    """Summed :func:`record_nbytes` of a blob's records: its size past the magic."""
+    return blob.stat().st_size - len(MAGIC)
+
+
 def _validated(moduli: Iterable[int]) -> Iterator[int]:
     for n in moduli:
         if n <= 1 or n % 2 == 0:
@@ -222,7 +237,10 @@ def _product_stage(
     src: Path, dst: Path, config: PipelineConfig, tel: Telemetry, B: IntBackend
 ) -> BlobInfo:
     chunks = _chunks_by_bytes(
-        iter_blob(src, backend=B), config.chunk_bytes(), record_nbytes, whole_pairs=True
+        iter_blob(src, backend=B),
+        config.chunk_bytes(_level_bytes(src)),
+        record_nbytes,
+        whole_pairs=True,
     )
     return _write_chunked(partial(product_chunk, backend=B.name), chunks, dst, config, tel)
 
@@ -247,7 +265,7 @@ def _remainder_stage(
         parents = iter_blob(parent_blob, backend=B)
         for nodes in _chunks_by_bytes(
             iter_blob(value_blob, backend=B),
-            config.chunk_bytes(),
+            config.chunk_bytes(5 * _level_bytes(value_blob)),
             lambda node: 5 * record_nbytes(node),
             whole_pairs=True,
         ):
@@ -269,7 +287,7 @@ def _leaf_stage(
     items = zip(iter_blob(moduli_blob, backend=B), iter_blob(rem_blob, backend=B))
     chunks = _chunks_by_bytes(
         items,
-        config.chunk_bytes(),
+        config.chunk_bytes(_level_bytes(moduli_blob) + _level_bytes(rem_blob)),
         lambda item: record_nbytes(item[0]) + record_nbytes(item[1]),
     )
     return _write_chunked(

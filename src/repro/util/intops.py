@@ -103,18 +103,106 @@ class IntBackend:
         return self.gcd(n, self.mod(self.divexact(r_mod_n2, n), n))
 
 
+#: Bit length from which :func:`_mod` divides recursively: below it, in the
+#: divisor or in the quotient, builtin ``%`` is as fast or faster.  It is
+#: also the recursion's base case, where a subproblem goes to ``divmod``.
+#: ``%`` time ÷ ``_bz_mod(a, b, 8192)`` time for a ``2s``-bit dividend over
+#: an ``s``-bit divisor, CPython 3.11.7, median of 5 on 2 cores (below the
+#: cutoff ``_bz_mod`` is ``divmod`` plus its call overhead):
+#:
+#: ===== ==== ==== ==== ==== ==== ==== ==== ==== ==== ====
+#: s     2K   4K   8K   16K  32K  64K  128K 256K 512K 1M
+#: ratio 0.86 0.88 1.02 1.35 1.86 2.27 2.47 3.18 4.61 5.82
+#: ===== ==== ==== ==== ==== ==== ==== ==== ==== ==== ====
+_BZ_CUTOFF = 8192
+
+
+def _mod(a, b):
+    """``a % b``, by Burnikel–Ziegler division once divisor and quotient
+    both reach :data:`_BZ_CUTOFF` bits (CPython 3.11's ``%`` is quadratic,
+    its ``*`` Karatsuba).
+
+    >>> b = 3**20000 + 2
+    >>> _mod(b * b + 12345, b) == 12345
+    True
+    """
+    n = b.bit_length()
+    if n < _BZ_CUTOFF or a.bit_length() - n < _BZ_CUTOFF or a < 0 or b < 0:
+        return a % b
+    return _bz_mod(a, b, _BZ_CUTOFF)
+
+
+def _bz_mod(a: int, b: int, cutoff: int) -> int:
+    """``a % b`` for ``a ≥ 0`` and ``b > 0``: long division in base
+    ``2**n`` (``n`` is ``b``'s bit length), each digit step one 2n/1n
+    recursive divide whose subproblems below ``cutoff`` bits go to
+    ``divmod``.
+
+    C. Burnikel and J. Ziegler, "Fast Recursive Division", MPI-I-98-1-022,
+    1998.  This function and its helpers follow ``int_divmod``,
+    ``_int2digits``, ``_div2n1n`` and ``_div3n2n`` in CPython 3.12's
+    ``Lib/_pylong.py``, Copyright (c) Python Software Foundation, used
+    under the PSF License Agreement; here only the remainder is kept.
+    """
+    n = b.bit_length()
+    r = 0
+    for digit in _digits(a, n, -(-a.bit_length() // n)):
+        r = _div2n1n(r << n | digit, b, n, cutoff)[1]
+    return r
+
+
+def _digits(a: int, n: int, k: int) -> list:
+    """The ``k`` base-``2**n`` digits of ``a``, most significant first
+    (split in halves, so each level of the split shifts ``a`` once)."""
+    if k <= 1:
+        return [a]
+    low = k >> 1
+    high = a >> (low * n)
+    return _digits(high, n, k - low) + _digits(a ^ (high << (low * n)), n, low)
+
+
+def _div2n1n(a: int, b: int, n: int, cutoff: int) -> tuple:
+    """``divmod(a, b)`` for an ``n``-bit ``b`` and ``0 ≤ a < b·2**n``."""
+    if n < cutoff or a.bit_length() - n < cutoff:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half, cutoff)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half, cutoff)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int, cutoff: int) -> tuple:
+    """``divmod(a12·2**n + a3, b)`` for ``b = b1·2**n + b2`` with ``b1``
+    of ``n`` bits and a quotient below ``2**n``: estimate the quotient
+    from ``a12 / b1``, then correct it down (at most twice)."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n, cutoff)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 class PythonBackend(IntBackend):
     """Plain CPython ``int`` arithmetic — the always-available reference.
 
-    The operation attributes are the raw builtins/operators themselves, so
-    routing through this backend costs one extra function call per
-    operation and nothing else.
+    The operation attributes are the raw builtins/operators themselves
+    (``mod`` adds a recursive divide for large operands), so routing
+    through this backend costs one extra function call per operation.
     """
 
     name = "python"
 
     mul = staticmethod(operator.mul)
-    mod = staticmethod(operator.mod)
+    mod = staticmethod(_mod)
     gcd = staticmethod(math.gcd)
     # exact by precondition (the caller guarantees b | a), so floor
     # division returns the same value the true quotient would

@@ -7,9 +7,11 @@ oracle on the same moduli — and, for planted corpora, the ground truth.
 
 import io
 import json
+import random
 
 import pytest
 
+from repro.core import pipeline
 from repro.core.attack import find_shared_primes
 from repro.core.checkpoint import MANIFEST_NAME, CheckpointStore
 from repro.core.pipeline import (
@@ -102,6 +104,34 @@ class TestFullRun:
             PipelineConfig(spool_dir=tmp_path, workers=2, memory_budget=4096),
         )
         assert _hit_triples(result) == oracle_hits
+
+    def test_two_workers_split_every_level(self, tmp_path, monkeypatch):
+        # the default budget dwarfs these levels; the 1/workers cap must
+        # still hand each worker a chunk of every level of >= 2 sibling pairs
+        rng = random.Random(5)
+        moduli = [rng.getrandbits(1024) | (1 << 1023) | 1 for _ in range(8)]
+        run_pipeline(moduli, PipelineConfig(spool_dir=tmp_path / "w0"))
+
+        chunk_counts = []
+        real = pipeline.run_chunked
+
+        def spy(fn, chunks, **kwargs):
+            chunks = list(chunks)
+            items = [c[1] if fn.func.__name__ == "remainder_chunk" else c for c in chunks]
+            chunk_counts.append((fn.func.__name__, sum(map(len, items)), len(chunks)))
+            return real(fn, iter(chunks), **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_chunked", spy)
+        run_pipeline(moduli, PipelineConfig(spool_dir=tmp_path / "w2", workers=2))
+
+        split = [(name, count) for name, items, count in chunk_counts if items >= 4]
+        assert [name for name, _ in split] == [
+            "product_chunk", "product_chunk", "remainder_chunk", "remainder_chunk",
+            "leaf_gcd_chunk",
+        ]
+        assert all(count >= 2 for _, count in split)
+        for _, blob in stage_plan(len(moduli)):
+            assert (tmp_path / "w2" / blob).read_bytes() == (tmp_path / "w0" / blob).read_bytes()
 
     def test_tiny_budget_forces_chunking(self, corpus, oracle_hits, tmp_path):
         result = run_pipeline(

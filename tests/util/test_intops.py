@@ -9,7 +9,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.util import intops
 from repro.util.intops import (
     BACKEND_CHOICES,
     BACKEND_ENV,
@@ -146,6 +149,99 @@ def test_leaf_gcd_accepts_native_operands(backend):
     n, N = 15, 15 * 21
     r = backend.from_int(N % (15 * 15))
     assert backend.to_int(backend.leaf_gcd(backend.from_int(n), r)) == 3
+
+
+# ------------------------------------------- recursive division behind mod
+
+GATE = intops._BZ_CUTOFF
+py_mod = PythonBackend.mod
+
+
+def _bits(rng, n):
+    """A random integer of exactly ``n`` bits."""
+    return rng.getrandbits(n) | 1 << (n - 1) if n else 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    divisor_bits=st.sampled_from([GATE - 1, GATE, GATE + 1, GATE + 7, 2 * GATE + 3]),
+    quotient_bits=st.sampled_from([GATE - 1, GATE, GATE + 1, 3 * GATE + 5]),
+    seed=st.integers(0, 2**32),
+)
+def test_mod_matches_builtin_around_the_gate(divisor_bits, quotient_bits, seed):
+    rng = random.Random(seed)
+    b = _bits(rng, divisor_bits)
+    a = _bits(rng, divisor_bits + quotient_bits)
+    assert py_mod(a, b) == a % b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(GATE, 3 * GATE),
+    offset=st.sampled_from([-1, 1]),
+    extra=st.integers(GATE, 2 * GATE),
+    seed=st.integers(0, 2**32),
+)
+def test_mod_by_power_of_two_neighbours(k, offset, extra, seed):
+    b = (1 << k) + offset
+    a = _bits(random.Random(seed), k + extra)
+    assert py_mod(a, b) == a % b
+
+
+@settings(max_examples=30, deadline=None)
+@given(divisor_bits=st.integers(GATE, 3 * GATE), seed=st.integers(0, 2**32))
+def test_mod_of_small_multiples_and_quotient_edge(divisor_bits, seed):
+    rng = random.Random(seed)
+    b = _bits(rng, divisor_bits)
+    assert py_mod(b - 1, b) == b - 1  # a < b
+    assert py_mod(b * _bits(rng, divisor_bits), b) == 0  # exact multiple
+    # a = b·2^n − 1: the 3n/2n step's quotient estimate saturates at 2^n − 1
+    a = (b << divisor_bits) - 1
+    assert py_mod(a, b) == a % b
+
+
+def test_mod_one_mbit_by_half_mbit():
+    rng = random.Random(11)
+    b = _bits(rng, 1 << 19)
+    a = _bits(rng, 1 << 20)
+    assert py_mod(a, b) == a % b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    divisor_bits=st.integers(1, 300),
+    dividend_bits=st.integers(0, 1200),
+    cutoff=st.integers(1, 40),
+    shape=st.sampled_from(["random", "pow2-1", "pow2+1", "b*2^n-1", "multiple"]),
+    seed=st.integers(0, 2**32),
+)
+def test_recursive_divide_below_the_gate(divisor_bits, dividend_bits, cutoff, shape, seed):
+    # called directly with a small cutoff, so the recursion (and its pad
+    # and correction paths) runs at sizes where mod itself would use %
+    rng = random.Random(seed)
+    b = {
+        "pow2-1": (1 << divisor_bits) - 1 or 1,
+        "pow2+1": (1 << divisor_bits) + 1,
+    }.get(shape) or _bits(rng, divisor_bits)
+    a = {
+        "b*2^n-1": (b << b.bit_length()) - 1,
+        "multiple": b * _bits(rng, dividend_bits),
+    }.get(shape, _bits(rng, dividend_bits))
+    assert intops._bz_mod(a, b, cutoff) == a % b
+
+
+def test_mod_stays_one_traceable_call():
+    # tracers wrap the class attribute; the recursion must not re-enter it
+    calls = []
+    real = PythonBackend.mod
+    assert isinstance(vars(PythonBackend)["mod"], staticmethod)
+    try:
+        PythonBackend.mod = staticmethod(lambda a, b: calls.append(1) or real(a, b))
+        b = _bits(random.Random(3), 4 * GATE)
+        assert resolve_backend("python").mod(b * b + 5, b) == 5
+    finally:
+        PythonBackend.mod = staticmethod(real)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------ gmpy2 extras
